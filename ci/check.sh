@@ -179,7 +179,8 @@ daemon_smoke() {
 # Out-of-core smoke: the compressed (delta-varint CCSC) engine must
 # reproduce the uncompressed BC byte for byte (the "top" ranking and the
 # Brandes verification line — modeled time, transactions, and peak
-# legitimately differ), the streamed run (LRU shard window over the PCIe
+# legitimately differ) on the scalar push path, under --advance auto, and
+# on the --batch 64 MS-BFS path, the streamed run (LRU shard window over the PCIe
 # model) must be pool-width invariant byte for byte across the full JSON
 # at --threads 1 vs 8, and the two failure surfaces must map to their
 # documented exit codes: a malformed chunk mid-ingest is a data error
@@ -202,6 +203,19 @@ ooc_smoke() {
       > "$dir/ooc_smoke_${f}_bc.json"
   done
   cmp "$dir/ooc_smoke_plain_bc.json" "$dir/ooc_smoke_compressed_bc.json"
+  # The same comparison on the paths whose kernels are instantiated over
+  # both storages: the direction-optimizing sweep and the MS-BFS batch.
+  local mode tag
+  for mode in "--advance auto" "--batch 64"; do
+    tag="${mode##* }"
+    # $mode is unquoted on purpose: it is a flag plus its value.
+    "$cli" bc "$g" --exact $mode --verify --json \
+      | grep -E '"top"|"verify_max_rel_err"' > "$dir/ooc_smoke_${tag}_plain.txt"
+    "$cli" bc "$g" --exact $mode --compress --verify --json \
+      | grep -E '"top"|"verify_max_rel_err"' \
+      > "$dir/ooc_smoke_${tag}_compressed.txt"
+    cmp "$dir/ooc_smoke_${tag}_plain.txt" "$dir/ooc_smoke_${tag}_compressed.txt"
+  done
   "$cli" bc "$g" --exact --compress --stream-window 2 --stream-shards 6 \
     --json --threads 1 > "$dir/ooc_smoke_stream_t1.json"
   "$cli" bc "$g" --exact --compress --stream-window 2 --stream-shards 6 \

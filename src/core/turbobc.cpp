@@ -8,17 +8,10 @@
 #include "gpusim/executor.hpp"
 #include "gpusim/kernel.hpp"
 #include "spmv/spmv_kernels.hpp"
-#include "storage/ccsc_kernels.hpp"
 
 namespace turbobc::bc {
 
 namespace {
-
-/// Sum of every modeled time component the BC computation pays while
-/// running (kernels, per-level flag readbacks, alloc/free overheads).
-double device_clock(const sim::Device& d) {
-  return d.kernel_seconds() + d.transfer_seconds() + d.overhead_seconds();
-}
 
 /// Upper bound on source-fan-out blocks. Enough blocks that the dynamic
 /// task queue load-balances well past any realistic core count, few enough
@@ -31,27 +24,11 @@ constexpr std::size_t kMaxSourceBlocks = 64;
 TurboBC::TurboBC(sim::Device& device, const graph::EdgeList& graph,
                  BcOptions options)
     : device_(device), options_(options) {
-  // The pull sweep folds CSC columns; COOC carries no column pointers, and
-  // only one sparse format may stay resident (paper Section 3.4). A
-  // direction-optimizing run therefore demotes kScCooc to a CSC layout —
-  // never larger for the same arcs (4(n+1) + 4m vs 8m words when m >= n+1).
-  // The target is veCSC, not scCSC: COOC is selected for extreme in-degree
-  // skew, exactly the shape where a thread-per-column scan serializes its
-  // warp on the hub column; the warp-per-column kernel stays balanced.
-  if (options_.advance != Advance::kPush &&
-      options_.variant == Variant::kScCooc) {
-    options_.variant = Variant::kVeCsc;
-  }
-  // Compressed storage decodes each column's varint chain sequentially —
-  // a warp cannot stride the byte stream — so any variant demotes to the
-  // thread-per-column scCSC layout (the same precedent as the COOC
-  // demotion above).
-  if (options_.compress) {
-    TBC_CHECK(!options_.edge_bc,
-              "compressed storage does not support edge BC (the edge "
-              "accumulator indexes arcs by raw nonzero position)");
-    options_.variant = Variant::kScCsc;
-  }
+  TBC_CHECK(!(options_.compress && options_.edge_bc),
+            "compressed storage does not support edge BC (the edge "
+            "accumulator indexes arcs by raw nonzero position)");
+  options_.variant = effective_variant(options_.variant, options_.advance,
+                                       options_.compress);
   graph::EdgeList canon = graph;
   canon.canonicalize();
   n_ = canon.num_vertices();
@@ -155,54 +132,42 @@ SourceStats TurboBC::run_source_on(sim::Device& dev,
       sigma.store(t, static_cast<std::size_t>(source), T{1});
     });
 
-    // Direction-switch state (kAuto). The frontier about to be advanced
-    // starts as {source}: nf = 1, mf = its in-degree; mu tracks in-edges of
-    // the still-undiscovered side. The host mirror of col_ptr is free to
-    // read — only the per-level counters ride the modeled readback.
-    std::uint64_t nf = 1, mf = 0;
-    std::uint64_t mu = static_cast<std::uint64_t>(m_);
+    // Direction-switch state: the frontier about to be advanced starts as
+    // {source} — one vertex, its in-degree in edges. The host mirror of
+    // col_ptr is free to read; only the per-level counters ride the modeled
+    // readback.
+    DirectionSwitch dir(options_.advance, options_.thresholds, n_, m_);
     if (dob) {
       const auto& cp = ccsc ? ccsc->col_ptr().host() : csc->col_ptr().host();
-      mf = static_cast<std::uint64_t>(
-          cp[static_cast<std::size_t>(source) + 1] -
-          cp[static_cast<std::size_t>(source)]);
-      mu -= mf;
+      dir.observe(1, static_cast<std::uint64_t>(
+                         cp[static_cast<std::size_t>(source) + 1] -
+                         cp[static_cast<std::size_t>(source)]));
     }
-    bool pulling = false;
 
     vidx_t d = 0;
     while (true) {
       ++d;
-      if (dob) {
-        if (options_.advance == Advance::kPull) {
-          pulling = true;
-        } else if (pulling) {
-          pulling = !switch_to_push(nf, static_cast<std::uint64_t>(n_),
-                                    options_.thresholds);
-        } else {
-          pulling = switch_to_pull(mf, mu, options_.thresholds);
-        }
-        pulled_level.push_back(pulling ? 1 : 0);  // decision for depth d
-      }
+      const bool pulling = dir.decide();
+      if (dob) pulled_level.push_back(pulling ? 1 : 0);  // decision for d
       ft.device_fill(T{0});
       if (pulling) {
         spmv::frontier_to_bitmap(dev, f, n_, *bitmap);
-        if (ccsc != nullptr) {
-          storage::spmv_forward_pull_ccsc(dev, *ccsc, f, *bitmap, ft, sigma);
-        } else if (options_.variant == Variant::kVeCsc) {
+        if (options_.variant == Variant::kVeCsc) {
           spmv::spmv_forward_pull_vecsc(dev, *csc, f, *bitmap, ft, sigma);
         } else {
-          spmv::spmv_forward_pull_sccsc(dev, *csc, f, *bitmap, ft, sigma);
+          storage::with_columns(csc, ccsc, [&](const auto& g) {
+            spmv::spmv_forward_pull_sccsc(dev, g, f, *bitmap, ft, sigma);
+          });
         }
-      } else if (ccsc != nullptr) {
-        storage::spmv_forward_push_ccsc(dev, *ccsc, f, ft, sigma);
       } else {
         switch (options_.variant) {
           case Variant::kScCooc:
             spmv::spmv_forward_sccooc(dev, *cooc, f, ft);
             break;
           case Variant::kScCsc:
-            spmv::spmv_forward_sccsc(dev, *csc, f, ft, sigma);
+            storage::with_columns(csc, ccsc, [&](const auto& g) {
+              spmv::spmv_forward_sccsc(dev, g, f, ft, sigma);
+            });
             break;
           case Variant::kVeCsc:
             spmv::spmv_forward_vecsc(dev, *csc, f, ft, sigma);
@@ -245,9 +210,8 @@ SourceStats TurboBC::run_source_on(sim::Device& dev,
       const auto c_host = cflag.copy_to_host();
       if (c_host[0] == 0) break;
       if (dob) {
-        nf = static_cast<std::uint64_t>(c_host[1]);
-        mf = static_cast<std::uint64_t>(c_host[2]);
-        mu -= mf;
+        dir.observe(static_cast<std::uint64_t>(c_host[1]),
+                    static_cast<std::uint64_t>(c_host[2]));
       }
     }
     height = d - 1;
@@ -351,45 +315,40 @@ SourceStats TurboBC::run_source_on(sim::Device& dev,
                           pulled_level[static_cast<std::size_t>(d) - 1] != 0;
     if (pull_dep) {
       spmv::frontier_to_bitmap(dev, delta_u, n_, *bbitmap);
-      if (ccsc != nullptr) {
-        storage::spmv_backward_pull_ccsc(dev, *ccsc, delta_u, *bbitmap,
-                                         delta_ut);
-      } else if (options_.variant == Variant::kVeCsc) {
+      if (options_.variant == Variant::kVeCsc) {
         spmv::spmv_backward_pull_vecsc(dev, *csc, delta_u, *bbitmap, delta_ut);
       } else {
-        spmv::spmv_backward_pull_sccsc(dev, *csc, delta_u, *bbitmap, delta_ut);
+        storage::with_columns(csc, ccsc, [&](const auto& g) {
+          spmv::spmv_backward_pull_sccsc(dev, g, delta_u, *bbitmap, delta_ut);
+        });
       }
     } else if (!directed_) {
-      if (ccsc != nullptr) {
-        storage::spmv_backward_gather_ccsc(dev, *ccsc, delta_u, delta_ut);
-      } else {
-        switch (options_.variant) {
-          case Variant::kScCooc:
-            spmv::spmv_backward_gather_sccooc(dev, *cooc, delta_u, delta_ut);
-            break;
-          case Variant::kScCsc:
-            spmv::spmv_backward_gather_sccsc(dev, *csc, delta_u, delta_ut);
-            break;
-          case Variant::kVeCsc:
-            spmv::spmv_backward_gather_vecsc(dev, *csc, delta_u, delta_ut);
-            break;
-        }
+      switch (options_.variant) {
+        case Variant::kScCooc:
+          spmv::spmv_backward_gather_sccooc(dev, *cooc, delta_u, delta_ut);
+          break;
+        case Variant::kScCsc:
+          storage::with_columns(csc, ccsc, [&](const auto& g) {
+            spmv::spmv_backward_gather_sccsc(dev, g, delta_u, delta_ut);
+          });
+          break;
+        case Variant::kVeCsc:
+          spmv::spmv_backward_gather_vecsc(dev, *csc, delta_u, delta_ut);
+          break;
       }
     } else {
-      if (ccsc != nullptr) {
-        storage::spmv_backward_scatter_ccsc(dev, *ccsc, delta_u, delta_ut);
-      } else {
-        switch (options_.variant) {
-          case Variant::kScCooc:
-            spmv::spmv_backward_scatter_sccooc(dev, *cooc, delta_u, delta_ut);
-            break;
-          case Variant::kScCsc:
-            spmv::spmv_backward_scatter_sccsc(dev, *csc, delta_u, delta_ut);
-            break;
-          case Variant::kVeCsc:
-            spmv::spmv_backward_scatter_vecsc(dev, *csc, delta_u, delta_ut);
-            break;
-        }
+      switch (options_.variant) {
+        case Variant::kScCooc:
+          spmv::spmv_backward_scatter_sccooc(dev, *cooc, delta_u, delta_ut);
+          break;
+        case Variant::kScCsc:
+          storage::with_columns(csc, ccsc, [&](const auto& g) {
+            spmv::spmv_backward_scatter_sccsc(dev, g, delta_u, delta_ut);
+          });
+          break;
+        case Variant::kVeCsc:
+          spmv::spmv_backward_scatter_vecsc(dev, *csc, delta_u, delta_ut);
+          break;
       }
     }
 
@@ -566,7 +525,7 @@ BcResult TurboBC::run_sources_impl(const std::vector<vidx_t>& sources,
                                    const std::vector<double>* weights,
                                    MomentResult* moments) {
   device_.memory().reset_peak();
-  const double start = device_clock(device_);
+  const double start = device_.total_seconds();
 
   sim::DeviceBuffer<bc_t> bc_dev(device_, static_cast<std::size_t>(n_), "bc",
                                  4);
@@ -656,7 +615,7 @@ BcResult TurboBC::run_sources_impl(const std::vector<vidx_t>& sources,
     moments->sumsq = msumsq->copy_to_host();
   }
   result.sources = static_cast<vidx_t>(sources.size());
-  result.device_seconds = device_clock(device_) - start;
+  result.device_seconds = device_.total_seconds() - start;
   result.peak_device_bytes = device_.memory().peak_bytes();
   result.bc = bc_dev.copy_to_host();  // result download, outside the clock
   if (ebc_dev) {

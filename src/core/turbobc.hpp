@@ -55,7 +55,7 @@ struct BcOptions {
   /// dense n/32-word frontier bitmap (footprint 7n + m + ceil(n/32) words),
   /// with kAuto switching per level on the thresholds below. Needs CSC:
   /// when combined with Variant::kScCooc the constructor falls back to
-  /// kVeCsc (only one sparse format may stay resident, CSC is never larger
+  /// kVeCsc (effective_variant: only one sparse format may stay resident, CSC is never larger
   /// than COOC for the same arcs, and warp-per-column stays balanced on the
   /// in-degree skew COOC is picked for). The S / sigma / bc results are
   /// bit-identical to push — the pull fold skips exact zeros only.

@@ -5,17 +5,8 @@
 #include "common/error.hpp"
 #include "gpusim/kernel.hpp"
 #include "spmv/spmv_kernels.hpp"
-#include "storage/ccsc_kernels.hpp"
 
 namespace turbobc::bc {
-
-namespace {
-
-double device_clock(const sim::Device& d) {
-  return d.kernel_seconds() + d.transfer_seconds() + d.overhead_seconds();
-}
-
-}  // namespace
 
 TurboBCBatched::TurboBCBatched(sim::Device& device,
                                const graph::EdgeList& graph,
@@ -45,6 +36,8 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
   const auto n = static_cast<std::size_t>(n_);
   const auto nk = n * k;
   const auto slot = [k](std::size_t v, std::size_t j) { return v * k + j; };
+  const spmv::DeviceCsc* csc = csc_ ? &*csc_ : nullptr;
+  const storage::DeviceCompressedCsc* ccsc = ccsc_ ? &*ccsc_ : nullptr;
 
   // Per-batch device state: the vector arrays of Algorithm 1, widened to k
   // columns (4-byte modeled words, as in the single-source pipeline).
@@ -106,26 +99,23 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
     });
 
     // Direction-switch state over the ANY-LANE frontier, mirroring the
-    // single engine: nf / mf from the widened flag readback, mu decremented
-    // as levels consume edges.
-    std::uint64_t nf = 0, mf = 0;
-    std::uint64_t mu = static_cast<std::uint64_t>(m_);
+    // single engine: seeded with the distinct sources, then fed nf / mf
+    // from the widened flag readback.
+    DirectionSwitch dir(options_.advance, options_.thresholds, n_, m_);
     if (dob) {
       std::vector<vidx_t> distinct(batch);
       std::sort(distinct.begin(), distinct.end());
       distinct.erase(std::unique(distinct.begin(), distinct.end()),
                      distinct.end());
-      nf = distinct.size();
-      const auto& cp =
-          ccsc_ ? ccsc_->col_ptr().host() : csc_->col_ptr().host();
+      const auto& cp = ccsc ? ccsc->col_ptr().host() : csc->col_ptr().host();
+      std::uint64_t mf = 0;
       for (const vidx_t s : distinct) {
         mf += static_cast<std::uint64_t>(
             cp[static_cast<std::size_t>(s) + 1] -
             cp[static_cast<std::size_t>(s)]);
       }
-      mu -= mf;
+      dir.observe(distinct.size(), mf);
     }
-    bool pulling = false;
 
     sim::DeviceBuffer<std::uint64_t>* cur = &fmask;
     sim::DeviceBuffer<std::uint64_t>* nxt = &nmask;
@@ -134,36 +124,21 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
       ++d;
       nxt->device_fill(0);
       cflags.device_fill(0);
-      if (dob) {
-        if (options_.advance == Advance::kPull) {
-          pulling = true;
-        } else if (pulling) {
-          pulling = !switch_to_push(nf, static_cast<std::uint64_t>(n_),
-                                    options_.thresholds);
-        } else {
-          pulling = switch_to_pull(mf, mu, options_.thresholds);
-        }
-      }
+      const bool pulling = dir.decide();
       if (pulling) {
         spmv::msbfs_frontier_to_bitmap(dev, *cur, n_, *bitmap);
-        if (ccsc_) {
-          storage::spmm_forward_msbfs_pull_ccsc(
-              dev, *ccsc_, static_cast<int>(k), full, d, *cur, *bitmap, vmask,
-              *nxt, sigma, S, cflags, dob);
-        } else {
-          spmv::spmm_forward_msbfs_pull_sccsc(
-              dev, *csc_, static_cast<int>(k), full, d, *cur, *bitmap, vmask,
-              *nxt, sigma, S, cflags, dob);
-        }
-      } else if (ccsc_) {
-        storage::spmm_forward_msbfs_ccsc(dev, *ccsc_, static_cast<int>(k),
-                                         full, d, *cur, vmask, *nxt, sigma, S,
-                                         cflags, dob);
-      } else {
-        spmv::spmm_forward_msbfs_sccsc(dev, *csc_, static_cast<int>(k), full,
-                                       d, *cur, vmask, *nxt, sigma, S, cflags,
-                                       dob);
       }
+      storage::with_columns(csc, ccsc, [&](const auto& g) {
+        if (pulling) {
+          spmv::spmm_forward_msbfs_pull_sccsc(dev, g, static_cast<int>(k),
+                                              full, d, *cur, *bitmap, vmask,
+                                              *nxt, sigma, S, cflags, dob);
+        } else {
+          spmv::spmm_forward_msbfs_sccsc(dev, g, static_cast<int>(k), full, d,
+                                         *cur, sigma, vmask, *nxt, sigma, S,
+                                         cflags, dob);
+        }
+      });
       // ONE readback of k flags per level (vs one 4-byte readback per
       // source-level in the unbatched pipeline).
       const auto flags = cflags.copy_to_host();
@@ -176,9 +151,8 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
       }
       if (!any) break;
       if (dob) {
-        nf = static_cast<std::uint64_t>(flags[k]);
-        mf = static_cast<std::uint64_t>(flags[k + 1]);
-        mu -= mf;
+        dir.observe(static_cast<std::uint64_t>(flags[k]),
+                    static_cast<std::uint64_t>(flags[k + 1]));
       }
       std::swap(cur, nxt);
     }
@@ -211,60 +185,14 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
         });
 
     delta_ut.device_fill(0.0);
-    if (ccsc_) {
-      // Compressed twins of the two inline loops below, decoding rows from
-      // the varint stream (storage/ccsc_kernels.hpp).
+    storage::with_columns(csc, ccsc, [&](const auto& g) {
       if (!directed_) {
-        storage::dep_spmm_gather_ccsc(dev, *ccsc_, k, delta_u, delta_ut);
+        spmv::dep_spmm_sccsc(dev, g, k, delta_u, delta_ut);
       } else {
-        storage::dep_spmm_scatter_ccsc(dev, *ccsc_, k, delta_u, delta_ut);
+        // Directed: out-neighbour sums via scatter (see DESIGN.md).
+        spmv::dep_spmm_sccsc_scatter(dev, g, k, delta_u, delta_ut);
       }
-    } else if (!directed_) {
-      sim::launch_scalar(
-          dev, "dep_spmm_sccsc", static_cast<std::uint64_t>(n_),
-          [&](sim::ThreadCtx& t) {
-            const auto v = static_cast<std::size_t>(t.global_id());
-            const spmv::dptr_t begin = csc_->col_ptr().load(t, v);
-            const spmv::dptr_t end = csc_->col_ptr().load(t, v + 1);
-            bc_t sums[64] = {};
-            for (spmv::dptr_t e = begin; e < end; ++e) {
-              const auto u = static_cast<std::size_t>(
-                  csc_->row_idx().load(t, static_cast<std::size_t>(e)));
-              t.count_ops(1);
-              for (std::size_t j = 0; j < k; ++j) {
-                sums[j] += delta_u.load(t, slot(u, j));
-              }
-            }
-            for (std::size_t j = 0; j < k; ++j) {
-              if (sums[j] != 0.0) delta_ut.store(t, slot(v, j), sums[j]);
-            }
-          });
-    } else {
-      // Directed: out-neighbour sums via scatter (see DESIGN.md).
-      sim::launch_scalar(
-          dev, "dep_spmm_sccsc_scatter", static_cast<std::uint64_t>(n_),
-          [&](sim::ThreadCtx& t) {
-            const auto w = static_cast<std::size_t>(t.global_id());
-            std::uint64_t live = 0;
-            for (std::size_t j = 0; j < k; ++j) {
-              if (delta_u.load(t, slot(w, j)) != 0.0) live |= 1ull << j;
-            }
-            if (live == 0) return;
-            const spmv::dptr_t begin = csc_->col_ptr().load(t, w);
-            const spmv::dptr_t end = csc_->col_ptr().load(t, w + 1);
-            for (spmv::dptr_t e = begin; e < end; ++e) {
-              const auto u = static_cast<std::size_t>(
-                  csc_->row_idx().load(t, static_cast<std::size_t>(e)));
-              t.count_ops(1);
-              for (std::size_t j = 0; j < k; ++j) {
-                if ((live >> j) & 1ull) {
-                  delta_ut.atomic_add(t, slot(u, j),
-                                      delta_u.load(t, slot(w, j)));
-                }
-              }
-            }
-          });
-    }
+    });
 
     sim::launch_scalar(
         dev, "dep_update_batched", static_cast<std::uint64_t>(n_),
@@ -343,30 +271,7 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
 }
 
 BcResult TurboBCBatched::run_sources(const std::vector<vidx_t>& sources) {
-  for (const vidx_t s : sources) {
-    TBC_CHECK(s >= 0 && s < n_, "batched BC source out of range");
-  }
-  device_.memory().reset_peak();
-  const double start = device_clock(device_);
-
-  sim::DeviceBuffer<bc_t> bc_dev(device_, static_cast<std::size_t>(n_),
-                                 "bc", 4);
-  bc_dev.device_fill(0.0);
-
-  const auto k = static_cast<std::size_t>(options_.batch_size);
-  for (std::size_t begin = 0; begin < sources.size(); begin += k) {
-    const std::size_t end = std::min(sources.size(), begin + k);
-    run_batch(std::vector<vidx_t>(sources.begin() + static_cast<std::ptrdiff_t>(begin),
-                                  sources.begin() + static_cast<std::ptrdiff_t>(end)),
-              bc_dev);
-  }
-
-  BcResult result;
-  result.sources = static_cast<vidx_t>(sources.size());
-  result.device_seconds = device_clock(device_) - start;
-  result.peak_device_bytes = device_.memory().peak_bytes();
-  result.bc = bc_dev.copy_to_host();
-  return result;
+  return run_sources_impl(sources, nullptr, nullptr);
 }
 
 BcResult TurboBCBatched::run_sources_moments(
@@ -374,39 +279,51 @@ BcResult TurboBCBatched::run_sources_moments(
     TurboBC::MomentResult& moments) {
   TBC_CHECK(weights.size() == sources.size(),
             "moment run needs one weight per source");
+  return run_sources_impl(sources, &weights, &moments);
+}
+
+BcResult TurboBCBatched::run_sources_impl(const std::vector<vidx_t>& sources,
+                                          const std::vector<double>* weights,
+                                          TurboBC::MomentResult* moments) {
   for (const vidx_t s : sources) {
     TBC_CHECK(s >= 0 && s < n_, "batched BC source out of range");
   }
   device_.memory().reset_peak();
-  const double start = device_clock(device_);
+  const double start = device_.total_seconds();
 
-  sim::DeviceBuffer<bc_t> bc_dev(device_, static_cast<std::size_t>(n_),
-                                 "bc", 4);
+  const auto n = static_cast<std::size_t>(n_);
+  sim::DeviceBuffer<bc_t> bc_dev(device_, n, "bc", 4);
   bc_dev.device_fill(0.0);
-  sim::DeviceBuffer<bc_t> msum(device_, static_cast<std::size_t>(n_),
-                               "approx_sum", 4);
-  sim::DeviceBuffer<bc_t> msumsq(device_, static_cast<std::size_t>(n_),
-                                 "approx_sumsq", 4);
-  msum.device_fill(0.0);
-  msumsq.device_fill(0.0);
+  std::optional<sim::DeviceBuffer<bc_t>> msum, msumsq;
+  if (moments != nullptr) {
+    msum.emplace(device_, n, "approx_sum", 4);
+    msumsq.emplace(device_, n, "approx_sumsq", 4);
+    msum->device_fill(0.0);
+    msumsq->device_fill(0.0);
+  }
 
   const auto k = static_cast<std::size_t>(options_.batch_size);
   for (std::size_t begin = 0; begin < sources.size(); begin += k) {
     const std::size_t end = std::min(sources.size(), begin + k);
-    const BatchMoments bm{&msum, &msumsq, weights.data() + begin};
-    run_batch(std::vector<vidx_t>(sources.begin() + static_cast<std::ptrdiff_t>(begin),
-                                  sources.begin() + static_cast<std::ptrdiff_t>(end)),
-              bc_dev, &bm);
+    const BatchMoments bm{msum ? &*msum : nullptr,
+                          msumsq ? &*msumsq : nullptr,
+                          weights ? weights->data() + begin : nullptr};
+    run_batch(std::vector<vidx_t>(
+                  sources.begin() + static_cast<std::ptrdiff_t>(begin),
+                  sources.begin() + static_cast<std::ptrdiff_t>(end)),
+              bc_dev, moments != nullptr ? &bm : nullptr);
   }
 
-  // Downloaded inside the modeled clock — the adaptive driver reads the
-  // moments between waves (see TurboBC::run_sources_moments).
-  moments.sum = msum.copy_to_host();
-  moments.sumsq = msumsq.copy_to_host();
+  if (moments != nullptr) {
+    // Downloaded inside the modeled clock — the adaptive driver reads the
+    // moments between waves (see TurboBC::run_sources_moments).
+    moments->sum = msum->copy_to_host();
+    moments->sumsq = msumsq->copy_to_host();
+  }
 
   BcResult result;
   result.sources = static_cast<vidx_t>(sources.size());
-  result.device_seconds = device_clock(device_) - start;
+  result.device_seconds = device_.total_seconds() - start;
   result.peak_device_bytes = device_.memory().peak_bytes();
   result.bc = bc_dev.copy_to_host();
   return result;

@@ -61,7 +61,8 @@ struct BatchedOptions {
   /// Switch points for kAuto (same defaults as the single-source engine).
   DirectionThresholds thresholds = {};
   /// Keep the graph resident as a delta-varint compressed CSC and decode
-  /// row ids inside the SpMM loops (storage/ccsc_kernels.hpp). Same masks,
+  /// row ids inside the SpMM loops (the storage-templated kernels of
+  /// spmv/spmv_kernels.hpp over storage::DeviceCompressedCsc). Same masks,
   /// same per-column edge order, same fold arithmetic — sigma and bc stay
   /// bit-identical to the uncompressed batched engine and hence to the
   /// per-source engine. See BcOptions::compress.
@@ -100,6 +101,12 @@ class TurboBCBatched {
     sim::DeviceBuffer<bc_t>* sumsq = nullptr;
     const double* weights = nullptr;  // k entries, parallel to the batch
   };
+
+  /// run_sources / run_sources_moments: moments (with one weight per
+  /// source) is null for a plain run.
+  BcResult run_sources_impl(const std::vector<vidx_t>& sources,
+                            const std::vector<double>* weights,
+                            TurboBC::MomentResult* moments);
 
   /// One batch of up to batch_size sources accumulated into bc_dev.
   void run_batch(const std::vector<vidx_t>& batch,

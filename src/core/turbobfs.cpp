@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "gpusim/kernel.hpp"
 #include "spmv/spmv_kernels.hpp"
-#include "storage/ccsc_kernels.hpp"
 
 namespace turbobc::bc {
 
@@ -11,18 +10,9 @@ TurboBfs::TurboBfs(sim::Device& device, const graph::EdgeList& graph,
                    Variant variant, Advance advance,
                    DirectionThresholds thresholds, bool compress)
     : device_(device),
-      variant_(variant),
+      variant_(effective_variant(variant, advance, compress)),
       advance_(advance),
       thresholds_(thresholds) {
-  // Pull folds CSC columns — same kScCooc-to-veCSC demotion as TurboBC
-  // (warp-per-column stays balanced on the in-degree skew COOC was picked
-  // for; same CSC byte inventory).
-  if (advance_ != Advance::kPush && variant_ == Variant::kScCooc) {
-    variant_ = Variant::kVeCsc;
-  }
-  // The varint decode is sequential per column: compressed runs demote to
-  // the thread-per-column scCSC layout (see BcOptions::compress).
-  if (compress) variant_ = Variant::kScCsc;
   graph::EdgeList canon = graph;
   canon.canonicalize();
   n_ = canon.num_vertices();
@@ -42,8 +32,7 @@ TurboBfsResult TurboBfs::run(vidx_t source) {
   TBC_CHECK(source >= 0 && source < n_, "BFS source vertex out of range");
   sim::Device& dev = device_;
   dev.memory().reset_peak();
-  const double start =
-      dev.kernel_seconds() + dev.transfer_seconds() + dev.overhead_seconds();
+  const double start = dev.total_seconds();
   const auto n = static_cast<std::size_t>(n_);
 
   sim::DeviceBuffer<std::int32_t> S(dev, n, "S");
@@ -71,48 +60,39 @@ TurboBfsResult TurboBfs::run(vidx_t source) {
   });
 
   // Direction-switch state — same model as TurboBC::run_source_on.
-  std::uint64_t nf = 1, mf = 0;
-  std::uint64_t mu = static_cast<std::uint64_t>(m_);
+  DirectionSwitch dir(advance_, thresholds_, n_, m_);
   if (dob) {
     const auto& cp = ccsc_ ? ccsc_->col_ptr().host() : csc_->col_ptr().host();
-    mf = static_cast<std::uint64_t>(cp[static_cast<std::size_t>(source) + 1] -
-                                    cp[static_cast<std::size_t>(source)]);
-    mu -= mf;
+    dir.observe(1, static_cast<std::uint64_t>(
+                       cp[static_cast<std::size_t>(source) + 1] -
+                       cp[static_cast<std::size_t>(source)]));
   }
-  bool pulling = false;
+  const spmv::DeviceCsc* csc = csc_ ? &*csc_ : nullptr;
+  const storage::DeviceCompressedCsc* ccsc = ccsc_ ? &*ccsc_ : nullptr;
 
   vidx_t d = 0;
   while (true) {
     ++d;
-    if (dob) {
-      if (advance_ == Advance::kPull) {
-        pulling = true;
-      } else if (pulling) {
-        pulling =
-            !switch_to_push(nf, static_cast<std::uint64_t>(n_), thresholds_);
-      } else {
-        pulling = switch_to_pull(mf, mu, thresholds_);
-      }
-    }
+    const bool pulling = dir.decide();
     ft.device_fill(0);
     if (pulling) {
       spmv::frontier_to_bitmap(dev, f, n_, *bitmap);
-      if (ccsc_) {
-        storage::spmv_forward_pull_ccsc(dev, *ccsc_, f, *bitmap, ft, sigma);
-      } else if (variant_ == Variant::kVeCsc) {
+      if (variant_ == Variant::kVeCsc) {
         spmv::spmv_forward_pull_vecsc(dev, *csc_, f, *bitmap, ft, sigma);
       } else {
-        spmv::spmv_forward_pull_sccsc(dev, *csc_, f, *bitmap, ft, sigma);
+        storage::with_columns(csc, ccsc, [&](const auto& g) {
+          spmv::spmv_forward_pull_sccsc(dev, g, f, *bitmap, ft, sigma);
+        });
       }
-    } else if (ccsc_) {
-      storage::spmv_forward_push_ccsc(dev, *ccsc_, f, ft, sigma);
     } else {
       switch (variant_) {
         case Variant::kScCooc:
           spmv::spmv_forward_sccooc(dev, *cooc_, f, ft);
           break;
         case Variant::kScCsc:
-          spmv::spmv_forward_sccsc(dev, *csc_, f, ft, sigma);
+          storage::with_columns(csc, ccsc, [&](const auto& g) {
+            spmv::spmv_forward_sccsc(dev, g, f, ft, sigma);
+          });
           break;
         case Variant::kVeCsc:
           spmv::spmv_forward_vecsc(dev, *csc_, f, ft, sigma);
@@ -149,16 +129,14 @@ TurboBfsResult TurboBfs::run(vidx_t source) {
     const auto c_host = cflag.copy_to_host();
     if (c_host[0] == 0) break;
     if (dob) {
-      nf = static_cast<std::uint64_t>(c_host[1]);
-      mf = static_cast<std::uint64_t>(c_host[2]);
-      mu -= mf;
+      dir.observe(static_cast<std::uint64_t>(c_host[1]),
+                  static_cast<std::uint64_t>(c_host[2]));
     }
   }
 
   TurboBfsResult r;
   r.height = d - 1;
-  r.device_seconds = dev.kernel_seconds() + dev.transfer_seconds() +
-                     dev.overhead_seconds() - start;
+  r.device_seconds = dev.total_seconds() - start;
   r.peak_device_bytes = dev.memory().peak_bytes();
   r.sigma = sigma.copy_to_host();
   r.depth.assign(n, kInvalidVertex);

@@ -38,7 +38,7 @@ struct TurboBfsResult {
 class TurboBfs {
  public:
   /// `advance` selects the forward-sweep engine; kPull / kAuto need CSC, so
-  /// kScCooc is demoted to kVeCsc exactly as in TurboBC. Depths, sigmas, and
+  /// kScCooc is demoted to kVeCsc exactly as in TurboBC (effective_variant). Depths, sigmas, and
   /// heights are bit-identical across modes (the pull fold skips exact
   /// zeros only) — the qa oracle enforces this.
   /// `compress` keeps the graph resident as a delta-varint compressed CSC
@@ -52,6 +52,8 @@ class TurboBfs {
 
   TurboBfsResult run(vidx_t source);
 
+  /// The variant that runs (effective_variant of the requested one).
+  Variant variant() const noexcept { return variant_; }
   vidx_t num_vertices() const noexcept { return n_; }
   eidx_t num_arcs() const noexcept { return m_; }
 

@@ -44,6 +44,27 @@ constexpr std::string_view to_string(Advance a) {
   return "?";
 }
 
+/// The variant an engine actually runs for a requested one (the single
+/// demotion rule TurboBC, TurboBfs and DistTurboBC's shards apply, and the
+/// CLI reports):
+///  * compressed storage decodes each column's varint chain sequentially —
+///    a warp cannot stride the byte stream — so every variant runs the
+///    thread-per-column scCSC kernels;
+///  * a pull or auto sweep folds CSC columns, and COOC carries no column
+///    pointers (only one sparse format may stay resident, paper Section
+///    3.4), so kScCooc demotes to a CSC layout — never larger for the same
+///    arcs (4(n+1) + 4m vs 8m words when m >= n+1). The target is veCSC:
+///    COOC is selected for extreme in-degree skew, exactly where a
+///    thread-per-column scan serializes its warp on the hub column.
+constexpr Variant effective_variant(Variant requested, Advance advance,
+                                    bool compress) {
+  if (compress) return Variant::kScCsc;
+  if (advance != Advance::kPush && requested == Variant::kScCooc) {
+    return Variant::kVeCsc;
+  }
+  return requested;
+}
+
 /// Pick a variant from graph structure, mirroring the paper's empirical
 /// rules: irregular graphs (high scale-free index) take the warp-per-column
 /// kernel; regular graphs with extreme max/mean degree skew (the mawi

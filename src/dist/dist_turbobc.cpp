@@ -17,13 +17,6 @@ namespace turbobc::dist {
 
 namespace {
 
-/// Sum of every modeled on-device time component (kernels, flag readbacks,
-/// alloc/free overheads). Interconnect time is tracked separately in the
-/// topology ledger and folded into the critical path once, at the end.
-double device_clock(const sim::Device& d) {
-  return d.kernel_seconds() + d.transfer_seconds() + d.overhead_seconds();
-}
-
 /// Baselines for delta accounting: distributed runs share long-lived
 /// topology devices (graph/shard uploads stay live across runs), so every
 /// per-run figure is "now minus the value at run entry".
@@ -42,7 +35,7 @@ struct RunBaseline {
     b.received.resize(static_cast<std::size_t>(k_devices));
     for (int k = 0; k < k_devices; ++k) {
       sim::Device& d = topo.device(k);
-      b.clock[static_cast<std::size_t>(k)] = device_clock(d);
+      b.clock[static_cast<std::size_t>(k)] = d.total_seconds();
       b.sent[static_cast<std::size_t>(k)] = d.comm_bytes_sent();
       b.received[static_cast<std::size_t>(k)] = d.comm_bytes_received();
       d.memory().reset_peak();
@@ -70,7 +63,7 @@ void finish_accounting(sim::Topology& topo, const RunBaseline& base,
     si.device = k;
     si.peak_bytes = d.memory().peak_bytes();
     si.device_seconds =
-        device_clock(d) - base.clock[static_cast<std::size_t>(k)];
+        d.total_seconds() - base.clock[static_cast<std::size_t>(k)];
     si.comm_bytes_sent =
         d.comm_bytes_sent() - base.sent[static_cast<std::size_t>(k)];
     si.comm_bytes_received =
@@ -170,12 +163,9 @@ DistTurboBC::DistTurboBC(sim::Topology& topology, const graph::EdgeList& graph,
       }
       sh.variant = bc::select_variant(local);
     }
-    // Pull folds CSC columns — same kScCooc-to-veCSC demotion as the single
-    // engine (balanced on in-degree skew, same CSC byte inventory).
-    if (options_.advance != bc::Advance::kPush &&
-        sh.variant == bc::Variant::kScCooc) {
-      sh.variant = bc::Variant::kVeCsc;
-    }
+    // Pull folds CSC columns — the single engine's demotion rule.
+    sh.variant = bc::effective_variant(sh.variant, options_.advance,
+                                       /*compress=*/false);
     if (sh.variant == bc::Variant::kScCooc) {
       std::vector<vidx_t> cols;
       cols.reserve(hs.rows.size());
@@ -415,18 +405,16 @@ DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
 
       // Direction-switch state — same model as TurboBC::run_source_on; nf
       // and mf are summed over shards from the widened flag readbacks.
-      std::uint64_t nf = 1, mf = 0;
-      std::uint64_t mu = static_cast<std::uint64_t>(m_);
+      bc::DirectionSwitch dir(options_.advance, options_.thresholds, n_, m_);
       if (dob) {
         // The source's column is wholly owned by one shard, so the local
         // pointer delta IS its global in-degree.
         const auto& cp = shards_[static_cast<std::size_t>(src_owner)]
                              .csc->col_ptr()
                              .host();
-        mf = static_cast<std::uint64_t>(cp[src_local + 1] - cp[src_local]);
-        mu -= mf;
+        dir.observe(1, static_cast<std::uint64_t>(cp[src_local + 1] -
+                                                  cp[src_local]));
       }
-      bool pulling = false;
 
       vidx_t d = 0;
       while (true) {
@@ -461,16 +449,7 @@ DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
           xf[static_cast<std::size_t>(k)].host() = frontier;
         }
 
-        if (dob) {
-          if (options_.advance == bc::Advance::kPull) {
-            pulling = true;
-          } else if (pulling) {
-            pulling = !bc::switch_to_push(nf, static_cast<std::uint64_t>(n_),
-                                          options_.thresholds);
-          } else {
-            pulling = bc::switch_to_pull(mf, mu, options_.thresholds);
-          }
-        }
+        const bool pulling = dir.decide();
 
         bool any_frontier = false;
         std::uint64_t level_nf = 0, level_mf = 0;
@@ -543,11 +522,7 @@ DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
           }
         }
         if (!any_frontier) break;
-        if (dob) {
-          nf = level_nf;
-          mf = level_mf;
-          mu -= mf;
-        }
+        if (dob) dir.observe(level_nf, level_mf);
       }
       height = d - 1;
     }
@@ -918,9 +893,10 @@ DistResult DistTurboBC::run_partitioned_batched(
           sim::Device& dev = topo_.device(k);
           (*nxt)[kk].device_fill(0);
           cflags[kk].device_fill(0);
-          spmv::spmm_forward_msbfs_exch_sccsc(
+          spmv::spmm_forward_msbfs_sccsc(
               dev, *shards_[kk].csc, static_cast<int>(kb), full, d, xm[kk],
-              xs[kk], vm[kk], (*nxt)[kk], sigma[kk], S[kk], cflags[kk]);
+              xs[kk], vm[kk], (*nxt)[kk], sigma[kk], S[kk], cflags[kk],
+              /*count_degrees=*/false);
           // ONE kb-word flag readback per shard per level (vs one word per
           // source-level in the scalar pipeline).
           const auto flags = cflags[kk].copy_to_host();
@@ -934,8 +910,8 @@ DistResult DistTurboBC::run_partitioned_batched(
       max_height = d - 1;
     }
 
-    // Backward stage: kb dependency columns per shard, same kernels as
-    // TurboBCBatched's inline lambdas, with the exchange around each level.
+    // Backward stage: kb dependency columns per shard, the same batched SpMM
+    // kernels as TurboBCBatched, with the exchange around each level.
     std::vector<sim::DeviceBuffer<bc_t>> delta, delta_u, delta_ut, xb;
     for (int k = 0; k < k_devices; ++k) {
       sim::Device& dev = topo_.device(k);
@@ -990,29 +966,8 @@ DistResult DistTurboBC::run_partitioned_batched(
           sim::Device& dev = topo_.device(k);
           xb[kk].host() = global_du;
           delta_ut[kk].device_fill(0.0);
-          const Shard& sh = shards_[kk];
-          sim::launch_scalar(
-              dev, "dep_spmm_sccsc",
-              static_cast<std::uint64_t>(sh.n_local()),
-              [&](sim::ThreadCtx& t) {
-                const auto v = static_cast<std::size_t>(t.global_id());
-                const spmv::dptr_t begin = sh.csc->col_ptr().load(t, v);
-                const spmv::dptr_t end = sh.csc->col_ptr().load(t, v + 1);
-                bc_t sums[64] = {};
-                for (spmv::dptr_t e = begin; e < end; ++e) {
-                  const auto u = static_cast<std::size_t>(
-                      sh.csc->row_idx().load(t, static_cast<std::size_t>(e)));
-                  t.count_ops(1);
-                  for (std::size_t j = 0; j < kb; ++j) {
-                    sums[j] += xb[kk].load(t, slot(u, j));
-                  }
-                }
-                for (std::size_t j = 0; j < kb; ++j) {
-                  if (sums[j] != 0.0) {
-                    delta_ut[kk].store(t, slot(v, j), sums[j]);
-                  }
-                }
-              });
+          spmv::dep_spmm_sccsc(dev, *shards_[kk].csc, kb, xb[kk],
+                               delta_ut[kk]);
         }
       } else {
         // Directed: the kb-column scatter rides the same device-order ring
@@ -1028,33 +983,8 @@ DistResult DistTurboBC::run_partitioned_batched(
                 k - 1, k, 4ull * static_cast<std::uint64_t>(nn * kb));
             xb[kk].host() = xb[kk - 1].host();
           }
-          const Shard& sh = shards_[kk];
-          sim::launch_scalar(
-              dev, "dep_spmm_sccsc_scatter",
-              static_cast<std::uint64_t>(sh.n_local()),
-              [&](sim::ThreadCtx& t) {
-                const auto w = static_cast<std::size_t>(t.global_id());
-                std::uint64_t live = 0;
-                for (std::size_t j = 0; j < kb; ++j) {
-                  if (delta_u[kk].load(t, slot(w, j)) != 0.0) {
-                    live |= 1ull << j;
-                  }
-                }
-                if (live == 0) return;
-                const spmv::dptr_t begin = sh.csc->col_ptr().load(t, w);
-                const spmv::dptr_t end = sh.csc->col_ptr().load(t, w + 1);
-                for (spmv::dptr_t e = begin; e < end; ++e) {
-                  const auto u = static_cast<std::size_t>(
-                      sh.csc->row_idx().load(t, static_cast<std::size_t>(e)));
-                  t.count_ops(1);
-                  for (std::size_t j = 0; j < kb; ++j) {
-                    if ((live >> j) & 1ull) {
-                      xb[kk].atomic_add(t, slot(u, j),
-                                        delta_u[kk].load(t, slot(w, j)));
-                    }
-                  }
-                }
-              });
+          spmv::dep_spmm_sccsc_scatter(dev, *shards_[kk].csc, kb,
+                                       delta_u[kk], xb[kk]);
         }
         const int tail = k_devices - 1;
         const auto& full_du = xb[static_cast<std::size_t>(tail)].host();

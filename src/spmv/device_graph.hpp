@@ -4,6 +4,12 @@
 // uploaded per BC computation, the value array of the binary matrix is never
 // materialized, and the index arrays are 32-bit words — so the device-side
 // inventory is (n+1) + m words for CSC and 2m words for COOC (Figure 4).
+//
+// Each column-major structure (DeviceCsc here, storage::DeviceCompressedCsc
+// for the delta-varint image) exposes a nested Cursor: the sequential
+// row-id reader the storage-templated thread-per-column kernels of
+// spmv_kernels.hpp walk a column with. The kernels are written once; the
+// cursor decides what a row id costs.
 #pragma once
 
 #include <limits>
@@ -11,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "gpusim/buffer.hpp"
+#include "gpusim/kernel.hpp"
 #include "graph/cooc.hpp"
 #include "graph/csc.hpp"
 
@@ -22,6 +29,22 @@ using dptr_t = std::int32_t;
 
 class DeviceCsc {
  public:
+  /// Row ids of one column, in k order from the column's first nonzero:
+  /// each one is a single charged 4-byte row_A load.
+  class Cursor {
+   public:
+    Cursor(const DeviceCsc& g, sim::ThreadCtx& t, std::size_t /*col*/,
+           dptr_t begin)
+        : g_(g), t_(t), k_(static_cast<std::size_t>(begin)) {}
+
+    vidx_t next() { return g_.row_idx().load(t_, k_++); }
+
+   private:
+    const DeviceCsc& g_;
+    sim::ThreadCtx& t_;
+    std::size_t k_;
+  };
+
   DeviceCsc(sim::Device& device, const graph::CscGraph& g)
       : n_(g.num_vertices()),
         m_(g.num_arcs()),

@@ -27,15 +27,37 @@
 // All kernels are templated on the vector element type: the BFS stage runs
 // on integers (sigma_t) and the dependency stage on doubles; the datatype
 // ablation bench instantiates the float versions.
+//
+// The thread-per-column kernels (every *_sccsc operator, the MS-BFS pair
+// and the batched dependency SpMM) are also templated on the column
+// storage G: DeviceCsc, or the delta-varint storage::DeviceCompressedCsc
+// (DESIGN.md §12). A kernel walks a column through G::Cursor, which loads
+// row_A words or decodes the byte stream; everything else — masks, operand
+// loads, fold order, op counts — is the same code. Each instantiation keeps
+// its own kernel name (bfs_spmv_sccsc vs bfs_spmv_ccsc, ...). The SpMV
+// kernels take an optional `col_base` that shifts the OPERAND index space
+// for a streamed shard whose columns are local while x / y / sigma stay
+// full-length global vectors: masks read and results write at
+// col_base + column. Only StreamingTurboBC sets it.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
+#include <type_traits>
 
 #include "gpusim/kernel.hpp"
 #include "spmv/device_graph.hpp"
 
 namespace turbobc::spmv {
+
+/// Launch name of a thread-per-column kernel over storage G: `csc` for the
+/// plain DeviceCsc, `ccsc` for the compressed image.
+template <typename G>
+constexpr std::string_view storage_kernel_name(std::string_view csc,
+                                               std::string_view ccsc) {
+  return std::is_same_v<G, DeviceCsc> ? csc : ccsc;
+}
 
 /// Grid size for warp-per-column kernels: enough warps to fill the device,
 /// columns handled with a grid stride.
@@ -73,25 +95,28 @@ void spmv_forward_sccooc(sim::Device& device, const DeviceCooc& g,
       });
 }
 
-template <typename T, typename M>
-void spmv_forward_sccsc(sim::Device& device, const DeviceCsc& g,
+template <typename G, typename T, typename M>
+void spmv_forward_sccsc(sim::Device& device, const G& g,
                         const sim::DeviceBuffer<T>& x,
                         sim::DeviceBuffer<T>& y,
-                        const sim::DeviceBuffer<M>& sigma) {
+                        const sim::DeviceBuffer<M>& sigma,
+                        vidx_t col_base = 0) {
   sim::launch_scalar(
-      device, "bfs_spmv_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device, storage_kernel_name<G>("bfs_spmv_sccsc", "bfs_spmv_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto i = static_cast<std::size_t>(t.global_id());
-        if (sigma.load(t, i) != 0) return;
+        const auto gi = static_cast<std::size_t>(col_base) + i;
+        if (sigma.load(t, gi) != 0) return;
         const dptr_t begin = g.col_ptr().load(t, i);
         const dptr_t end = g.col_ptr().load(t, i + 1);
+        typename G::Cursor rows(g, t, i, begin);
         T sum = 0;
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(k));
+          const vidx_t row = rows.next();
           sum += x.load(t, static_cast<std::size_t>(row));
           t.count_ops(1);
         }
-        if (sum > 0) y.store(t, i, sum);
+        if (sum > 0) y.store(t, gi, sum);
       });
 }
 
@@ -188,22 +213,29 @@ void frontier_to_bitmap(sim::Device& device, const sim::DeviceBuffer<T>& f,
       });
 }
 
-template <typename T, typename M>
-void spmv_forward_pull_sccsc(sim::Device& device, const DeviceCsc& g,
+// A compressed column still decodes every varint of its gap chain when
+// pulled; the saving is skipping the frontier-value load on bitmap misses,
+// exactly as over the plain CSC.
+template <typename G, typename T, typename M>
+void spmv_forward_pull_sccsc(sim::Device& device, const G& g,
                              const sim::DeviceBuffer<T>& x,
                              const sim::DeviceBuffer<std::uint32_t>& bitmap,
                              sim::DeviceBuffer<T>& y,
-                             const sim::DeviceBuffer<M>& sigma) {
+                             const sim::DeviceBuffer<M>& sigma,
+                             vidx_t col_base = 0) {
   sim::launch_scalar(
-      device, "bfs_spmv_pull_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device,
+      storage_kernel_name<G>("bfs_spmv_pull_sccsc", "bfs_spmv_pull_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto i = static_cast<std::size_t>(t.global_id());
-        if (sigma.load(t, i) != 0) return;
+        const auto gi = static_cast<std::size_t>(col_base) + i;
+        if (sigma.load(t, gi) != 0) return;
         const dptr_t begin = g.col_ptr().load(t, i);
         const dptr_t end = g.col_ptr().load(t, i + 1);
+        typename G::Cursor rows(g, t, i, begin);
         T sum = 0;
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(k));
+          const vidx_t row = rows.next();
           const std::uint32_t word =
               bitmap.load(t, static_cast<std::size_t>(row) / 32);
           t.count_ops(1);
@@ -211,7 +243,7 @@ void spmv_forward_pull_sccsc(sim::Device& device, const DeviceCsc& g,
             sum += x.load(t, static_cast<std::size_t>(row));
           }
         }
-        if (sum > 0) y.store(t, i, sum);
+        if (sum > 0) y.store(t, gi, sum);
       });
 }
 
@@ -354,27 +386,38 @@ inline void msbfs_column_commit(
 
 /// Push MS-BFS level: one thread per column v, serial scan of v's in-edges;
 /// every edge costs one 8-byte mask load + one word op for all k sources.
-template <typename T>
+///
+/// The frontier operands are arguments: the mask word F (bit j of F(row)
+/// iff row is on lane j's frontier) and the frontier values X (slot
+/// row * k + j). A resident engine passes (F, sigma) — a frontier vertex's
+/// value IS its sigma. The partitioned engine passes the EXCHANGED
+/// full-length operands (Fx, Xs), global row space, assembled by its
+/// per-level all_gather, while V / Fn / sigma / S commit to the shard's
+/// local column slice; per-column edge order equals the single device's,
+/// so the committed sigma matrix is bit-identical shard by shard.
+template <typename G, typename T>
 void spmm_forward_msbfs_sccsc(
-    sim::Device& device, const DeviceCsc& g, int k, std::uint64_t full,
-    vidx_t depth, const sim::DeviceBuffer<std::uint64_t>& F,
+    sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
+    const sim::DeviceBuffer<std::uint64_t>& F, const sim::DeviceBuffer<T>& X,
     sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
     sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
     sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
   const auto kk = static_cast<std::size_t>(k);
   sim::launch_scalar(
-      device, "bfs_spmm_msbfs_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device,
+      storage_kernel_name<G>("bfs_spmm_msbfs_sccsc", "bfs_spmm_msbfs_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto v = static_cast<std::size_t>(t.global_id());
         const std::uint64_t vis = V.load(t, v);
         t.count_word_ops(1);
         if ((vis & full) == full) return;  // all lanes already discovered
         const dptr_t begin = g.col_ptr().load(t, v);
         const dptr_t end = g.col_ptr().load(t, v + 1);
+        typename G::Cursor rows(g, t, v, begin);
         T sums[64] = {};
         std::uint64_t m = 0;
         for (dptr_t e = begin; e < end; ++e) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(e));
+          const vidx_t row = rows.next();
           const std::uint64_t w =
               F.load(t, static_cast<std::size_t>(row)) & ~vis;
           t.count_word_ops(1);
@@ -383,8 +426,7 @@ void spmm_forward_msbfs_sccsc(
           for (std::uint64_t bits = w; bits != 0; bits &= bits - 1) {
             const auto j = static_cast<std::size_t>(
                 std::countr_zero(bits));
-            sums[j] += sigma.load(
-                t, static_cast<std::size_t>(row) * kk + j);
+            sums[j] += X.load(t, static_cast<std::size_t>(row) * kk + j);
           }
         }
         msbfs_column_commit(t, v, k, depth, V, Fn, sigma, S, cflags,
@@ -398,28 +440,31 @@ void spmm_forward_msbfs_sccsc(
 /// any-lane frontier bitmap (4-byte word, L2-resident) and touches the
 /// 8-byte mask + sigma values only on a hit — the direction-optimized form
 /// for levels where most in-neighbours are off every lane's frontier.
-template <typename T>
+template <typename G, typename T>
 void spmm_forward_msbfs_pull_sccsc(
-    sim::Device& device, const DeviceCsc& g, int k, std::uint64_t full,
-    vidx_t depth, const sim::DeviceBuffer<std::uint64_t>& F,
+    sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
+    const sim::DeviceBuffer<std::uint64_t>& F,
     const sim::DeviceBuffer<std::uint32_t>& bitmap,
     sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
     sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
     sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
   const auto kk = static_cast<std::size_t>(k);
   sim::launch_scalar(
-      device, "bfs_spmm_msbfs_pull_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device,
+      storage_kernel_name<G>("bfs_spmm_msbfs_pull_sccsc",
+                             "bfs_spmm_msbfs_pull_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto v = static_cast<std::size_t>(t.global_id());
         const std::uint64_t vis = V.load(t, v);
         t.count_word_ops(1);
         if ((vis & full) == full) return;
         const dptr_t begin = g.col_ptr().load(t, v);
         const dptr_t end = g.col_ptr().load(t, v + 1);
+        typename G::Cursor rows(g, t, v, begin);
         T sums[64] = {};
         std::uint64_t m = 0;
         for (dptr_t e = begin; e < end; ++e) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(e));
+          const vidx_t row = rows.next();
           const std::uint32_t word =
               bitmap.load(t, static_cast<std::size_t>(row) / 32);
           t.count_ops(1);
@@ -445,52 +490,68 @@ void spmm_forward_msbfs_pull_sccsc(
       });
 }
 
-/// Distributed push MS-BFS level over a column shard: the same fold as
-/// spmm_forward_msbfs_sccsc, except the frontier masks (Fx) and the frontier
-/// sigma values (Xs, slot row * k + j) are read from the EXCHANGED
-/// full-length operands — global row space, assembled by the partitioned
-/// engine's per-level all_gather — while visited/next/sigma/S commit to the
-/// shard's LOCAL column slice. A frontier vertex's value IS its sigma, so
-/// one 8-byte mask word plus the packed new values carry all k lanes across
-/// the interconnect per level. Per-column edge order equals the single
-/// device's, so the committed sigma matrix is bit-identical shard by shard.
-template <typename T>
-void spmm_forward_msbfs_exch_sccsc(
-    sim::Device& device, const DeviceCsc& g, int k, std::uint64_t full,
-    vidx_t depth, const sim::DeviceBuffer<std::uint64_t>& Fx,
-    const sim::DeviceBuffer<T>& Xs, sim::DeviceBuffer<std::uint64_t>& V,
-    sim::DeviceBuffer<std::uint64_t>& Fn, sim::DeviceBuffer<T>& sigma,
-    sim::DeviceBuffer<std::int32_t>& S,
-    sim::DeviceBuffer<std::int32_t>& cflags) {
-  const auto kk = static_cast<std::size_t>(k);
+// ---------------------------------------------------------------------------
+// Batched dependency SpMM (k dependency columns at once, interleaved slot
+// v * k + j). Gather form for undirected graphs: column v sums its
+// in-neighbours' k values, in edge order per lane. Scatter form for directed
+// graphs: column w pushes each live lane's value onto its in-neighbours'
+// slots. Row-side slots address a full-length vector (the partitioned
+// engine's exchanged operand); column-side slots address the launch's own
+// columns.
+// ---------------------------------------------------------------------------
+
+template <typename G>
+void dep_spmm_sccsc(sim::Device& device, const G& g, std::size_t k,
+                    const sim::DeviceBuffer<bc_t>& x,
+                    sim::DeviceBuffer<bc_t>& y) {
   sim::launch_scalar(
-      device, "bfs_spmm_msbfs_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device, storage_kernel_name<G>("dep_spmm_sccsc", "dep_spmm_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto v = static_cast<std::size_t>(t.global_id());
-        const std::uint64_t vis = V.load(t, v);
-        t.count_word_ops(1);
-        if ((vis & full) == full) return;
         const dptr_t begin = g.col_ptr().load(t, v);
         const dptr_t end = g.col_ptr().load(t, v + 1);
-        T sums[64] = {};
-        std::uint64_t m = 0;
+        typename G::Cursor rows(g, t, v, begin);
+        bc_t sums[64] = {};
         for (dptr_t e = begin; e < end; ++e) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(e));
-          const std::uint64_t w =
-              Fx.load(t, static_cast<std::size_t>(row)) & ~vis;
-          t.count_word_ops(1);
-          if (w == 0) continue;
-          m |= w;
-          for (std::uint64_t bits = w; bits != 0; bits &= bits - 1) {
-            const auto j = static_cast<std::size_t>(
-                std::countr_zero(bits));
-            sums[j] += Xs.load(t, static_cast<std::size_t>(row) * kk + j);
+          const auto u = static_cast<std::size_t>(rows.next());
+          t.count_ops(1);
+          for (std::size_t j = 0; j < k; ++j) {
+            sums[j] += x.load(t, u * k + j);
           }
         }
-        msbfs_column_commit(t, v, k, depth, V, Fn, sigma, S, cflags,
-                            /*count_degrees=*/false,
-                            static_cast<std::uint64_t>(end - begin), vis, m,
-                            sums);
+        for (std::size_t j = 0; j < k; ++j) {
+          if (sums[j] != 0.0) y.store(t, v * k + j, sums[j]);
+        }
+      });
+}
+
+template <typename G>
+void dep_spmm_sccsc_scatter(sim::Device& device, const G& g, std::size_t k,
+                            const sim::DeviceBuffer<bc_t>& x,
+                            sim::DeviceBuffer<bc_t>& y) {
+  sim::launch_scalar(
+      device,
+      storage_kernel_name<G>("dep_spmm_sccsc_scatter",
+                             "dep_spmm_ccsc_scatter"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
+        const auto w = static_cast<std::size_t>(t.global_id());
+        std::uint64_t live = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          if (x.load(t, w * k + j) != 0.0) live |= 1ull << j;
+        }
+        if (live == 0) return;
+        const dptr_t begin = g.col_ptr().load(t, w);
+        const dptr_t end = g.col_ptr().load(t, w + 1);
+        typename G::Cursor rows(g, t, w, begin);
+        for (dptr_t e = begin; e < end; ++e) {
+          const auto u = static_cast<std::size_t>(rows.next());
+          t.count_ops(1);
+          for (std::size_t j = 0; j < k; ++j) {
+            if ((live >> j) & 1ull) {
+              y.atomic_add(t, u * k + j, x.load(t, w * k + j));
+            }
+          }
+        }
       });
 }
 
@@ -500,23 +561,24 @@ void spmm_forward_msbfs_exch_sccsc(
 // sum only when the matrix is symmetric (undirected graphs).
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void spmv_backward_gather_sccsc(sim::Device& device, const DeviceCsc& g,
+template <typename G, typename T>
+void spmv_backward_gather_sccsc(sim::Device& device, const G& g,
                                 const sim::DeviceBuffer<T>& x,
-                                sim::DeviceBuffer<T>& y) {
+                                sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
   sim::launch_scalar(
-      device, "dep_spmv_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device, storage_kernel_name<G>("dep_spmv_sccsc", "dep_spmv_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto i = static_cast<std::size_t>(t.global_id());
         const dptr_t begin = g.col_ptr().load(t, i);
         const dptr_t end = g.col_ptr().load(t, i + 1);
+        typename G::Cursor rows(g, t, i, begin);
         T sum = 0;
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(k));
+          const vidx_t row = rows.next();
           sum += x.load(t, static_cast<std::size_t>(row));
           t.count_ops(1);
         }
-        if (sum != 0) y.store(t, i, sum);
+        if (sum != 0) y.store(t, static_cast<std::size_t>(col_base) + i, sum);
       });
 }
 
@@ -589,20 +651,22 @@ void spmv_backward_gather_sccooc(sim::Device& device, const DeviceCooc& g,
 // bit-identical to the push (unmasked) backward sweep.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void spmv_backward_pull_sccsc(sim::Device& device, const DeviceCsc& g,
+template <typename G, typename T>
+void spmv_backward_pull_sccsc(sim::Device& device, const G& g,
                               const sim::DeviceBuffer<T>& x,
                               const sim::DeviceBuffer<std::uint32_t>& bitmap,
-                              sim::DeviceBuffer<T>& y) {
+                              sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
   sim::launch_scalar(
-      device, "dep_spmv_pull_sccsc", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device,
+      storage_kernel_name<G>("dep_spmv_pull_sccsc", "dep_spmv_pull_ccsc"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto i = static_cast<std::size_t>(t.global_id());
         const dptr_t begin = g.col_ptr().load(t, i);
         const dptr_t end = g.col_ptr().load(t, i + 1);
+        typename G::Cursor rows(g, t, i, begin);
         T sum = 0;
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(k));
+          const vidx_t row = rows.next();
           const std::uint32_t word =
               bitmap.load(t, static_cast<std::size_t>(row) / 32);
           t.count_ops(1);
@@ -610,7 +674,7 @@ void spmv_backward_pull_sccsc(sim::Device& device, const DeviceCsc& g,
             sum += x.load(t, static_cast<std::size_t>(row));
           }
         }
-        if (sum != 0) y.store(t, i, sum);
+        if (sum != 0) y.store(t, static_cast<std::size_t>(col_base) + i, sum);
       });
 }
 
@@ -673,20 +737,23 @@ void spmv_backward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
 // transposed product, used by the backward stage on directed graphs.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void spmv_backward_scatter_sccsc(sim::Device& device, const DeviceCsc& g,
+template <typename G, typename T>
+void spmv_backward_scatter_sccsc(sim::Device& device, const G& g,
                                  const sim::DeviceBuffer<T>& x,
-                                 sim::DeviceBuffer<T>& y) {
+                                 sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
   sim::launch_scalar(
-      device, "dep_spmv_sccsc_scatter", static_cast<std::uint64_t>(g.n()),
-      [&](sim::ThreadCtx& t) {
+      device,
+      storage_kernel_name<G>("dep_spmv_sccsc_scatter",
+                             "dep_spmv_ccsc_scatter"),
+      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
         const auto w = static_cast<std::size_t>(t.global_id());
-        const T xv = x.load(t, w);
-        if (xv == 0) return;
+        const T xv = x.load(t, static_cast<std::size_t>(col_base) + w);
+        if (xv == 0) return;  // zero column: no row ids needed
         const dptr_t begin = g.col_ptr().load(t, w);
         const dptr_t end = g.col_ptr().load(t, w + 1);
+        typename G::Cursor rows(g, t, w, begin);
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = g.row_idx().load(t, static_cast<std::size_t>(k));
+          const vidx_t row = rows.next();
           y.atomic_add(t, static_cast<std::size_t>(row), xv);
           t.count_ops(1);
         }

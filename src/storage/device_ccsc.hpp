@@ -22,6 +22,10 @@
 // (they are what the varints decode to), so kernels gather from full-length
 // operand vectors while writing local columns — the same convention as the
 // 1D-partitioned DeviceCsc shards.
+//
+// The nested Cursor decodes one column's row ids for the storage-templated
+// thread-per-column kernels of spmv/spmv_kernels.hpp: instantiated over this
+// type, every scCSC operator reads the byte stream instead of row_A.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +42,8 @@ namespace turbobc::storage {
 
 class DeviceCompressedCsc {
  public:
+  class Cursor;
+
   DeviceCompressedCsc(sim::Device& device, const CompressedCsc& c)
       : n_(c.n),
         m_(c.m),
@@ -130,5 +136,77 @@ class DeviceCompressedCsc {
   sim::DeviceBuffer<std::uint8_t> bytes_;
   sim::DeviceBuffer<std::uint32_t> fmt_;
 };
+
+/// Sequential row-id reader over one column's byte range. The format bitmap
+/// picks the branch per column: varint chains consume one charged 1-byte
+/// load plus one decode word-op per byte; raw hub columns read each row id
+/// as a single charged 4-byte vector load (load_span) with no decode ALU —
+/// the same shape as the uncompressed kernel's row-index load.
+///
+/// Bit-identity: the decode yields exactly the row sequence the plain CSC
+/// cursor loads, in the same k order, so every kernel instantiated over
+/// both storages folds the same values in the same order (oracle invariant
+/// `ooc_agreement`). `local_col` is the column within this (possibly
+/// rebased) structure; decoded row ids are always global.
+class DeviceCompressedCsc::Cursor {
+ public:
+  Cursor(const DeviceCompressedCsc& g, sim::ThreadCtx& t,
+         std::size_t local_col, spmv::dptr_t /*begin*/)
+      : g_(g), t_(t) {
+    pos_ = static_cast<std::size_t>(g.byte_off().load(t, local_col));
+    const std::uint32_t word = g.fmt().load(t, local_col >> 5);
+    raw_ = ((word >> (local_col & 31u)) & 1u) != 0;
+    t.count_word_ops(1);  // bitmap shift/test
+  }
+
+  /// The next row id: a raw 4-byte word, or a decoded varint (absolute for
+  /// the first call, prior + gap afterwards — the inverse of
+  /// append_column_bytes's delta chain).
+  vidx_t next() {
+    if (raw_) {
+      std::uint8_t w[4];
+      g_.bytes().load_span(t_, pos_, 4, w);
+      pos_ += 4;
+      return static_cast<vidx_t>(
+          static_cast<std::uint32_t>(w[0]) |
+          static_cast<std::uint32_t>(w[1]) << 8 |
+          static_cast<std::uint32_t>(w[2]) << 16 |
+          static_cast<std::uint32_t>(w[3]) << 24);
+    }
+    std::uint32_t value = 0;
+    int shift = 0;
+    while (true) {
+      const std::uint8_t b = g_.bytes().load(t_, pos_++);
+      t_.count_word_ops(1);
+      value |= static_cast<std::uint32_t>(b & 0x7Fu) << shift;
+      if ((b & 0x80u) == 0) break;
+      shift += 7;
+    }
+    acc_ = first_ ? value : acc_ + value;
+    first_ = false;
+    return static_cast<vidx_t>(acc_);
+  }
+
+ private:
+  const DeviceCompressedCsc& g_;
+  sim::ThreadCtx& t_;
+  std::size_t pos_ = 0;
+  std::uint32_t acc_ = 0;
+  bool first_ = true;
+  bool raw_ = false;
+};
+
+/// Call `fn` with the resident column storage — the compressed image when
+/// present, the plain CSC otherwise — so one generic lambda instantiates a
+/// storage-templated kernel of spmv/spmv_kernels.hpp for either.
+template <typename Fn>
+void with_columns(const spmv::DeviceCsc* csc, const DeviceCompressedCsc* ccsc,
+                  Fn&& fn) {
+  if (ccsc != nullptr) {
+    fn(*ccsc);
+  } else {
+    fn(*csc);
+  }
+}
 
 }  // namespace turbobc::storage

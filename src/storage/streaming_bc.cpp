@@ -4,17 +4,9 @@
 
 #include "common/error.hpp"
 #include "gpusim/kernel.hpp"
-#include "storage/ccsc_kernels.hpp"
+#include "spmv/spmv_kernels.hpp"
 
 namespace turbobc::storage {
-
-namespace {
-
-double device_clock(const sim::Device& d) {
-  return d.kernel_seconds() + d.transfer_seconds() + d.overhead_seconds();
-}
-
-}  // namespace
 
 StreamingTurboBC::StreamingTurboBC(sim::Device& device,
                                    const CompressedCsc& graph,
@@ -127,8 +119,8 @@ bc::SourceStats StreamingTurboBC::run_source(vidx_t source,
       ++d;
       ft.device_fill(T{0});
       for (std::size_t k = 0; k < shards_.size(); ++k) {
-        spmv_forward_push_ccsc(dev, resident(k), f, ft, sigma,
-                               shards_[k].col_begin);
+        spmv::spmv_forward_sccsc(dev, resident(k), f, ft, sigma,
+                                 shards_[k].col_begin);
       }
       cflag.device_fill(0);
       sim::launch_scalar(dev, "bfs_update", static_cast<std::uint64_t>(n_),
@@ -174,11 +166,11 @@ bc::SourceStats StreamingTurboBC::run_source(vidx_t source,
     delta_ut.device_fill(0.0);
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       if (!directed_) {
-        spmv_backward_gather_ccsc(dev, resident(k), delta_u, delta_ut,
-                                  shards_[k].col_begin);
+        spmv::spmv_backward_gather_sccsc(dev, resident(k), delta_u, delta_ut,
+                                         shards_[k].col_begin);
       } else {
-        spmv_backward_scatter_ccsc(dev, resident(k), delta_u, delta_ut,
-                                   shards_[k].col_begin);
+        spmv::spmv_backward_scatter_sccsc(dev, resident(k), delta_u,
+                                          delta_ut, shards_[k].col_begin);
       }
     }
     sim::launch_scalar(dev, "dep_update", static_cast<std::uint64_t>(n_),
@@ -222,7 +214,7 @@ bc::SourceStats StreamingTurboBC::run_source(vidx_t source,
 bc::BcResult StreamingTurboBC::run_sources(
     const std::vector<vidx_t>& sources) {
   device_.memory().reset_peak();
-  const double start = device_clock(device_);
+  const double start = device_.total_seconds();
 
   sim::DeviceBuffer<bc_t> bc_dev(device_, static_cast<std::size_t>(n_), "bc",
                                  4);
@@ -237,7 +229,7 @@ bc::BcResult StreamingTurboBC::run_sources(
     result.last_source = run_source(s, bc_dev);
   }
   result.sources = static_cast<vidx_t>(sources.size());
-  result.device_seconds = device_clock(device_) - start;
+  result.device_seconds = device_.total_seconds() - start;
   result.peak_device_bytes = device_.memory().peak_bytes();
   result.bc = bc_dev.copy_to_host();  // result download, outside the clock
   return result;

@@ -408,7 +408,8 @@ int cmd_bfs(const CliArgs& args, std::ostream& out, std::ostream& err) {
   const auto r = bfs.run(source);
 
   out << "BFS from " << source << " ("
-      << (args.has("compress") ? "compressed " : "") << bc::to_string(variant)
+      << (args.has("compress") ? "compressed " : "")
+      << bc::to_string(bfs.variant())
       << (advance != bc::Advance::kPush
               ? "/" + std::string(bc::to_string(advance))
               : "")
@@ -554,6 +555,11 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
                               .advance = advance,
                               .batch_size = dist_batch});
     strategy_used = engine.strategy();
+    // Report what runs: batched shards are pinned to the scCSC MS-BFS
+    // kernels; otherwise the engine's demotion rule applies.
+    variant = dist_batch > 0
+                  ? bc::Variant::kScCsc
+                  : bc::effective_variant(variant, advance, /*compress=*/false);
     const std::string batch_tag =
         dist_batch > 0 ? ", batched x" + std::to_string(dist_batch) : "";
     if (args.has("exact")) {
@@ -605,21 +611,17 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
           static_cast<vidx_t>(args.get_int("source", 0)));
       mode = "single-source, streamed";
     }
+    variant = bc::effective_variant(variant, advance, /*compress=*/true);
     sledger = streng.ledger();
     stream_shards = streng.num_shards();
     stream_fetch_free = streng.fetch_free();
   } else {
     device = std::make_unique<sim::Device>();
     device->set_keep_launch_records(want_trace);
-    bc::TurboBC turbo(*device, g,
-                      {.variant = variant,
-                       .edge_bc = args.has("edge-bc"),
-                       .advance = advance,
-                       .compress = compress});
-
     if (args.has("exact") && args.has("batch")) {
       // Multi-source batched pipeline (scCSC-based SpMM; see
-      // core/turbobc_batched.hpp).
+      // core/turbobc_batched.hpp). Only this engine's graph is resident, so
+      // the reported peak is the batched engine's own.
       bc::TurboBCBatched batched(
           *device, g,
           {.batch_size = static_cast<vidx_t>(args.get_count("batch", 8)),
@@ -627,18 +629,27 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
            .compress = compress});
       r = batched.run_exact();
       mode = "exact, batched x" + std::to_string(args.get_count("batch", 8));
-    } else if (args.has("exact")) {
-      r = turbo.run_exact();
-      mode = "exact";
-    } else if (args.has("approx")) {
-      r = turbo.run_approximate(
-          {.num_sources = static_cast<vidx_t>(args.get_count("approx", 32)),
-           .seed = static_cast<std::uint64_t>(args.get_int("seed", 1))});
-      mode = "approximate (" + std::to_string(r.sources) + " sources)";
+      variant = bc::Variant::kScCsc;  // the MS-BFS kernels are scCSC
     } else {
-      r = turbo.run_single_source(
-          static_cast<vidx_t>(args.get_int("source", 0)));
-      mode = "single-source";
+      bc::TurboBC turbo(*device, g,
+                        {.variant = variant,
+                         .edge_bc = args.has("edge-bc"),
+                         .advance = advance,
+                         .compress = compress});
+      variant = turbo.options().variant;
+      if (args.has("exact")) {
+        r = turbo.run_exact();
+        mode = "exact";
+      } else if (args.has("approx")) {
+        r = turbo.run_approximate(
+            {.num_sources = static_cast<vidx_t>(args.get_count("approx", 32)),
+             .seed = static_cast<std::uint64_t>(args.get_int("seed", 1))});
+        mode = "approximate (" + std::to_string(r.sources) + " sources)";
+      } else {
+        r = turbo.run_single_source(
+            static_cast<vidx_t>(args.get_int("source", 0)));
+        mode = "single-source";
+      }
     }
   }
 

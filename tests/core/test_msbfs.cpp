@@ -1,7 +1,8 @@
 // MS-BFS pinning suite: the packed-mask batched engine must be BIT-identical
 // to the per-source TurboBC pipeline (kScCSC, the variant whose column fold
 // order the batched SpMM kernels reproduce) on every generator family, in
-// every advance mode, and through the distributed partitioned exchange.
+// every advance mode, over both the plain and the compressed column storage,
+// and through the distributed partitioned exchange.
 //
 // These are equality tests, not tolerance tests — the fixed fold order is the
 // contract that lets the oracle's msbfs_agreement invariant compare doubles
@@ -57,14 +58,20 @@ TEST_P(MsBfsFamilies, PackedMasksMatchPerSourceBitwise) {
   TurboBC plain(d_ref, el, {.variant = Variant::kScCsc});
   const auto ref = plain.run_sources(sources);
 
-  for (const Advance adv : {Advance::kPush, Advance::kPull, Advance::kAuto}) {
-    sim::Device dev;
-    TurboBCBatched batched(dev, el, {.batch_size = 64, .advance = adv});
-    const auto got = batched.run_sources(sources);
-    expect_bits_equal(got.bc, ref.bc,
-                      std::string("family ") +
-                          std::string(qa::to_string(GetParam())) + " advance " +
-                          std::string(to_string(adv)));
+  for (const bool compress : {false, true}) {
+    for (const Advance adv :
+         {Advance::kPush, Advance::kPull, Advance::kAuto}) {
+      sim::Device dev;
+      TurboBCBatched batched(
+          dev, el,
+          {.batch_size = 64, .advance = adv, .compress = compress});
+      const auto got = batched.run_sources(sources);
+      expect_bits_equal(got.bc, ref.bc,
+                        std::string("family ") +
+                            std::string(qa::to_string(GetParam())) +
+                            " advance " + std::string(to_string(adv)) +
+                            (compress ? " compressed" : ""));
+    }
   }
 }
 

@@ -24,9 +24,12 @@ void expect_bc_equal(const std::vector<bc_t>& got,
 }
 
 /// Variant x graph-shape grid: the heart of the correctness story.
+/// The name is stored inline, not as a pointer: GoogleTest prints the param's
+/// raw bytes into the registered test name, and a string-literal address
+/// differs from run to run under ASLR.
 struct Case {
-  const char* name;
   Variant variant;
+  char name[12];
 };
 
 class TurboBcCorrectness : public ::testing::TestWithParam<Case> {};
@@ -158,9 +161,9 @@ TEST_P(TurboBcCorrectness, FloatBfsAblationIsStillCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, TurboBcCorrectness,
-    ::testing::Values(Case{"scCOOC", Variant::kScCooc},
-                      Case{"scCSC", Variant::kScCsc},
-                      Case{"veCSC", Variant::kVeCsc}),
+    ::testing::Values(Case{Variant::kScCooc, "scCOOC"},
+                      Case{Variant::kScCsc, "scCSC"},
+                      Case{Variant::kVeCsc, "veCSC"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ------------------------------------------------------------- edge cases

@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "core/turbobc_batched.hpp"
+#include "graph/mtx_io.hpp"
 #include "tools/commands.hpp"
 
 namespace turbobc::tools {
@@ -168,6 +170,29 @@ TEST(Cli, BcExactBatchedVerifies) {
   EXPECT_EQ(r.code, 0) << r.out + r.err;
   EXPECT_NE(r.out.find("batched x8"), std::string::npos);
   EXPECT_NE(r.out.find("(OK)"), std::string::npos);
+}
+
+/// The integer value of `"key": N` in a JSON report (0 when absent).
+std::uint64_t json_uint(const std::string& json, const std::string& key) {
+  const std::string tag = "\"" + key + "\": ";
+  const auto at = json.find(tag);
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + tag.size()));
+}
+
+TEST(Cli, BcBatchedPeakIsTheBatchedEnginesOwn) {
+  // The batched path must not keep an idle per-source engine (and its graph
+  // upload) alive on the device it reports the peak of.
+  const std::string path = std::string(TURBOBC_FIXTURES_DIR) + "/midskew.mtx";
+  const auto r = run({"bc", path.c_str(), "--exact", "--batch", "8",
+                      "--json"});
+  ASSERT_EQ(r.code, 0) << r.err;
+
+  sim::Device dev;
+  bc::TurboBCBatched engine(dev, graph::read_matrix_market_file(path),
+                            {.batch_size = 8});
+  const auto want = engine.run_exact();
+  EXPECT_EQ(json_uint(r.out, "peak_bytes"), want.peak_device_bytes);
 }
 
 TEST(Cli, BcApproximateRuns) {

@@ -339,6 +339,24 @@ TEST(GoldenCli, BcAdvancePullJsonGrid) {
       "bc_grid8x8_pull.json.golden");
 }
 
+// The reports name the variant whose kernels ran, not the requested one:
+// scCOOC under pull demotes to veCSC, and compressed storage runs scCSC.
+TEST(GoldenCli, BcDemotedCoocPullTextGrid) {
+  const auto g = grid_graph();
+  expect_matches_golden(
+      run_ok({"bc", g.c_str(), "--source", "9", "--variant", "sccooc",
+              "--advance", "pull", "--verify", "--top", "5"}),
+      "bc_grid8x8_sccooc_pull.txt.golden");
+}
+
+TEST(GoldenCli, BcCompressedVeCscJsonMycielski) {
+  const auto g = mycielski_graph();
+  expect_matches_golden(
+      run_ok({"bc", g.c_str(), "--exact", "--compress", "--variant", "vecsc",
+              "--verify", "--top", "5", "--json"}),
+      "bc_mycielski6_compress_vecsc.json.golden");
+}
+
 /// A fixed serve session script (query -> update -> query, both kinds plus
 /// approx and stats), written once to the test temp dir.
 std::string serve_script() {
