@@ -69,6 +69,26 @@ run_config() {
   "$cli" bc "$dg" --exact --devices 4 --dist partition --json --threads 8 \
     > "$dir/dist_smoke_t8.json"
   cmp "$dir/dist_smoke_t1.json" "$dir/dist_smoke_t8.json"
+  # The partitioned level driver's two other paths: the directed
+  # device-order ring (a directed erdos-renyi graph) and the
+  # direction-optimizing sweep (--advance auto). Each must print the
+  # single-device ranking and Brandes line with the variant pinned on both
+  # sides (DESIGN.md §8.3), and be pool-width invariant byte for byte.
+  local ddg="$dir/dist_smoke_directed.mtx"
+  "$cli" generate --family erdos-renyi --n 400 --arcs 2400 --seed 3 \
+    --out "$ddg"
+  dist_partition_check "$cli" "$dir" directed "$ddg"
+  dist_partition_check "$cli" "$dir" auto "$dg" --advance auto
+  # Out-of-range user input is misuse (exit 2), never an internal check.
+  expect_usage "bc --source past n" "$cli" bc "$dg" --source 1000
+  expect_usage "bfs --source past n" "$cli" bfs "$dg" --source 1000
+  expect_usage "bc --batch 65" "$cli" bc "$dg" --exact --batch 65
+  expect_usage "approx --batch 65" "$cli" approx "$dg" --engine batched \
+    --batch 65
+  expect_usage "dist --batch 65" "$cli" bc "$dg" --exact --devices 2 \
+    --dist partition --batch 65
+  expect_usage "bc --batch --edge-bc" "$cli" bc "$dg" --exact --batch 8 \
+    --edge-bc
   "$cli" info --json > /dev/null
   dobfs_smoke "$name" "$dir"
   msbfs_smoke "$name" "$dir"
@@ -76,6 +96,35 @@ run_config() {
   ooc_smoke "$name" "$dir"
   daemon_smoke "$name" "$dir"
   hybrid_smoke "$name" "$dir"
+}
+
+# Run "$@" and require the CLI-misuse exit code 2; $1 names the probe.
+expect_usage() {
+  local what="$1" rc=0
+  shift
+  "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$what should exit 2, got $rc" >&2; exit 1
+  fi
+}
+
+# One partitioned configuration (extra flags in "$@") against the
+# single-device engine, both pinned to scCSC: the "top" ranking and the
+# Brandes verification line must match, and the full --devices 4 JSON must
+# be identical at --threads 1 and 8.
+dist_partition_check() {
+  local cli="$1" dir="$2" tag="$3" g="$4"
+  shift 4
+  local out="$dir/dist_smoke_$tag"
+  "$cli" bc "$g" --exact --variant sccsc --verify --json "$@" \
+    | grep -E '"top"|"verify_max_rel_err"' > "${out}_single.txt"
+  "$cli" bc "$g" --exact --variant sccsc --devices 4 --dist partition \
+    --verify --json --threads 1 "$@" > "${out}_t1.json"
+  "$cli" bc "$g" --exact --variant sccsc --devices 4 --dist partition \
+    --verify --json --threads 8 "$@" > "${out}_t8.json"
+  cmp "${out}_t1.json" "${out}_t8.json"
+  grep -E '"top"|"verify_max_rel_err"' "${out}_t1.json" > "${out}_dist.txt"
+  cmp "${out}_single.txt" "${out}_dist.txt"
 }
 
 # Hybrid co-execution smoke: `bc --exact --hybrid` must reproduce the
@@ -221,6 +270,19 @@ ooc_smoke() {
   "$cli" bc "$g" --exact --compress --stream-window 2 --stream-shards 6 \
     --json --threads 8 > "$dir/ooc_smoke_stream_t8.json"
   cmp "$dir/ooc_smoke_stream_t1.json" "$dir/ooc_smoke_stream_t8.json"
+  # Directed graphs take the streamed scatter: one launch per shard in
+  # ascending column order must reproduce the resident compressed BC.
+  local dg="$dir/ooc_smoke_directed.mtx"
+  "$cli" generate --family erdos-renyi --n 500 --arcs 3000 --seed 5 \
+    --out "$dg"
+  "$cli" bc "$dg" --exact --compress --verify --json \
+    | grep -E '"top"|"verify_max_rel_err"' \
+    > "$dir/ooc_smoke_directed_resident.txt"
+  "$cli" bc "$dg" --exact --compress --stream-window 2 --stream-shards 6 \
+    --verify --json | grep -E '"top"|"verify_max_rel_err"' \
+    > "$dir/ooc_smoke_directed_streamed.txt"
+  cmp "$dir/ooc_smoke_directed_resident.txt" \
+    "$dir/ooc_smoke_directed_streamed.txt"
   printf '%%%%MatrixMarket matrix coordinate pattern general\n5 5 4\n1 2\n2 3\n7 !\n' \
     > "$dir/ooc_smoke_bad.mtx"
   local rc=0

@@ -5,9 +5,9 @@
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
+#include "core/level_driver.hpp"
 #include "gpusim/executor.hpp"
 #include "gpusim/kernel.hpp"
-#include "spmv/spmv_kernels.hpp"
 
 namespace turbobc::bc {
 
@@ -20,6 +20,93 @@ namespace {
 constexpr std::size_t kMaxSourceBlocks = 64;
 
 }  // namespace
+
+/// TurboBC's resident-only backward hooks: edge BC per level and the approx
+/// estimator's moment fold after the bc accumulation.
+struct TurboBC::ResidentHooks {
+  const ResidentColumns& res;
+  eidx_t m;
+  vidx_t source;
+  Accumulators& acc;
+  double weight;
+  bool edge_levels = acc.ebc.has_value();
+
+  // Edge-BC extension: the Brandes arc term sigma(i)/sigma(w)(1+delta(w))
+  // equals sigma(i) * delta_u(w); arcs i -> w from depth d-1 into depth d
+  // accumulate it. One thread per column (CSC) / per nonzero (COOC); each
+  // arc is touched by exactly one thread, so plain read-modify-write
+  // suffices.
+  void level(vidx_t d, const sim::DeviceBuffer<std::int32_t>& S,
+             const sim::DeviceBuffer<sigma_t>& sigma,
+             const sim::DeviceBuffer<bc_t>& delta_u) const {
+    const bc_t escale = res.directed ? 1.0 : 0.5;
+    sim::DeviceBuffer<bc_t>& e = *acc.ebc;
+    const spmv::DeviceCooc* cooc = res.cooc;
+    const spmv::DeviceCsc* csc = res.csc;
+    if (cooc != nullptr) {
+      sim::launch_scalar(
+          res.dev, "edge_bc_accum", static_cast<std::uint64_t>(m),
+          [&](sim::ThreadCtx& t) {
+            const auto k = static_cast<std::size_t>(t.global_id());
+            const vidx_t w = cooc->col_idx().load(t, k);
+            if (S.load(t, static_cast<std::size_t>(w)) != d) return;
+            const vidx_t i = cooc->row_idx().load(t, k);
+            if (S.load(t, static_cast<std::size_t>(i)) != d - 1) return;
+            const bc_t du = delta_u.load(t, static_cast<std::size_t>(w));
+            if (du == 0.0) return;
+            const sigma_t sg = sigma.load(t, static_cast<std::size_t>(i));
+            e.store(t, k, e.load(t, k) + du * static_cast<bc_t>(sg) * escale);
+            t.count_ops(1);
+          });
+    } else {
+      sim::launch_scalar(
+          res.dev, "edge_bc_accum", static_cast<std::uint64_t>(res.n),
+          [&](sim::ThreadCtx& t) {
+            const auto w = static_cast<std::size_t>(t.global_id());
+            if (S.load(t, w) != d) return;
+            const bc_t du = delta_u.load(t, w);
+            if (du == 0.0) return;
+            const spmv::dptr_t begin = csc->col_ptr().load(t, w);
+            const spmv::dptr_t end = csc->col_ptr().load(t, w + 1);
+            for (spmv::dptr_t k = begin; k < end; ++k) {
+              const vidx_t i =
+                  csc->row_idx().load(t, static_cast<std::size_t>(k));
+              t.count_ops(1);
+              if (S.load(t, static_cast<std::size_t>(i)) == d - 1) {
+                const sigma_t sg = sigma.load(t, static_cast<std::size_t>(i));
+                const auto kk = static_cast<std::size_t>(k);
+                e.store(t, kk,
+                        e.load(t, kk) + du * static_cast<bc_t>(sg) * escale);
+              }
+            }
+          });
+    }
+  }
+
+  // Approx-estimator moment fold: the per-source weighted dependency sample
+  // x = w_s * delta(v) * scale and its square, accumulated into the two
+  // extra per-device float arrays. One thread per vertex; the source's own
+  // lane is skipped, matching the bc accumulation.
+  void accumulated(const sim::DeviceBuffer<bc_t>& delta) const {
+    if (!acc.sum) return;
+    const bc_t scale = res.directed ? 1.0 : 0.5;
+    sim::DeviceBuffer<bc_t>& msum = *acc.sum;
+    sim::DeviceBuffer<bc_t>& msumsq = *acc.sumsq;
+    sim::launch_scalar(res.dev, "approx_moment",
+                       static_cast<std::uint64_t>(res.n),
+                       [&](sim::ThreadCtx& t) {
+                         const auto i = static_cast<std::size_t>(t.global_id());
+                         if (static_cast<vidx_t>(i) == source) return;
+                         const bc_t dl = delta.load(t, i);
+                         t.count_ops(2);
+                         if (dl != 0.0) {
+                           const bc_t x = dl * scale * weight;
+                           msum.store(t, i, msum.load(t, i) + x);
+                           msumsq.store(t, i, msumsq.load(t, i) + x * x);
+                         }
+                       });
+  }
+};
 
 TurboBC::TurboBC(sim::Device& device, const graph::EdgeList& graph,
                  BcOptions options)
@@ -36,15 +123,8 @@ TurboBC::TurboBC(sim::Device& device, const graph::EdgeList& graph,
   directed_ = canon.directed();
   TBC_CHECK(n_ > 0, "TurboBC needs a non-empty graph");
 
-  // Exactly one sparse format resides on the device (paper Section 3.4).
-  if (options_.compress) {
-    ccsc_.emplace(device_,
-                  storage::encode_csc(graph::CscGraph::from_edges(canon)));
-  } else if (options_.variant == Variant::kScCooc) {
-    cooc_.emplace(device_, graph::CoocGraph::from_edges(canon));
-  } else {
-    csc_.emplace(device_, graph::CscGraph::from_edges(canon));
-  }
+  graph_.upload(device_, canon, options_.variant == Variant::kScCooc,
+                options_.compress);
 
   if (options_.edge_bc) {
     // Both device formats store nonzeros in column-major order; replay the
@@ -67,358 +147,47 @@ TurboBC::TurboBC(sim::Device& device, const graph::EdgeList& graph,
 }
 
 std::size_t TurboBC::graph_device_bytes() const noexcept {
-  if (ccsc_) return ccsc_->device_bytes();
-  if (cooc_) {
-    return (cooc_->row_idx().bytes() + cooc_->col_idx().bytes());
+  if (graph_.ccsc) return graph_.ccsc->device_bytes();
+  if (graph_.cooc) {
+    return graph_.cooc->row_idx().bytes() + graph_.cooc->col_idx().bytes();
   }
-  return csc_ ? csc_->col_ptr().bytes() + csc_->row_idx().bytes() : 0;
+  return graph_.csc->col_ptr().bytes() + graph_.csc->row_idx().bytes();
+}
+
+TurboBC::Accumulators::Accumulators(sim::Device& dev, vidx_t n, eidx_t m,
+                                    bool edge_bc, bool moments)
+    : bc(dev, static_cast<std::size_t>(n), "bc", 4) {
+  bc.device_fill(0.0);
+  if (edge_bc) {
+    ebc.emplace(dev, static_cast<std::size_t>(m), "edge_bc", 4);
+    ebc->device_fill(0.0);
+  }
+  if (moments) {
+    sum.emplace(dev, static_cast<std::size_t>(n), "approx_sum", 4);
+    sumsq.emplace(dev, static_cast<std::size_t>(n), "approx_sumsq", 4);
+    sum->device_fill(0.0);
+    sumsq->device_fill(0.0);
+  }
 }
 
 SourceStats TurboBC::run_source_on(sim::Device& dev,
-                                   const spmv::DeviceCsc* csc,
-                                   const spmv::DeviceCooc* cooc,
-                                   const storage::DeviceCompressedCsc* ccsc,
-                                   vidx_t source,
-                                   sim::DeviceBuffer<bc_t>& bc_dev,
-                                   sim::DeviceBuffer<bc_t>* ebc_dev,
-                                   const MomentSink* moments) const {
-  using T = sigma_t;  // double: path counts overflow any integer width
+                                   const storage::ResidentGraph& graph,
+                                   vidx_t source, Accumulators& acc,
+                                   double weight) const {
   TBC_CHECK(source >= 0 && source < n_, "BC source vertex out of range");
-  const auto n = static_cast<std::size_t>(n_);
-  const bool dob = options_.advance != Advance::kPush;
-
-  // All per-vertex device arrays are modeled at the paper's 4-byte width
-  // (int32 S/f/f_t, float32 sigma/delta/bc — Figure 4); host-side values
-  // stay double for exact verification.
-  sim::DeviceBuffer<std::int32_t> S(dev, n, "S");
-  sim::DeviceBuffer<T> sigma(dev, n, "sigma", 4);
+  ResidentColumns res =
+      ResidentColumns::on(dev, options_.variant, graph, n_, directed_);
   // Paper Section 3.4: the BFS stage runs on integer-typed device arrays
   // unless the datatype ablation asks for float costing.
-  sigma.set_modeled_integer(!options_.float_bfs);
-  S.device_fill(0);
-  sigma.device_fill(0);
-
-  vidx_t height = 0;
-  // Per-level forward direction decisions, kept for the backward stage:
-  // pulled_level[d] records whether depth d was DISCOVERED in pull mode.
-  // delta_u at backward level d is nonzero exactly on the depth-d frontier,
-  // so a level sparse enough to pull forward is sparse enough to pull the
-  // dependency gather too — the switch state is computed once and reused.
-  std::vector<char> pulled_level;
-  {
-    // Forward (BFS) stage. f and f_t live only inside this scope: the
-    // closing brace is the paper's cudaFree that makes room for the
-    // dependency-stage triple.
-    sim::DeviceBuffer<T> f(dev, n, "f", 4);
-    sim::DeviceBuffer<T> ft(dev, n, "f_t", 4);
-    f.set_modeled_integer(!options_.float_bfs);
-    ft.set_modeled_integer(!options_.float_bfs);
-    // Push mode: the paper's 1-element frontier flag. Direction-optimizing
-    // mode widens it to three int32 counters — [0] flag, [1] nf (new-frontier
-    // vertices), [2] mf (their in-edges) — accumulated with exact integer
-    // atomics, so the switch inputs are deterministic at any pool width and
-    // the per-level readback stays one small copy.
-    sim::DeviceBuffer<std::int32_t> cflag(dev, dob ? 3 : 1, "c");
-    std::optional<sim::DeviceBuffer<std::uint32_t>> bitmap;
-    if (dob) {
-      bitmap.emplace(
-          dev, static_cast<std::size_t>(spmv::frontier_bitmap_words(n_)),
-          "frontier_bitmap");
-    }
-    f.device_fill(0);
-
-    sim::launch_scalar(dev, "bfs_init", 1, [&](sim::ThreadCtx& t) {
-      f.store(t, static_cast<std::size_t>(source), T{1});
-      sigma.store(t, static_cast<std::size_t>(source), T{1});
-    });
-
-    // Direction-switch state: the frontier about to be advanced starts as
-    // {source} — one vertex, its in-degree in edges. The host mirror of
-    // col_ptr is free to read; only the per-level counters ride the modeled
-    // readback.
-    DirectionSwitch dir(options_.advance, options_.thresholds, n_, m_);
-    if (dob) {
-      const auto& cp = ccsc ? ccsc->col_ptr().host() : csc->col_ptr().host();
-      dir.observe(1, static_cast<std::uint64_t>(
-                         cp[static_cast<std::size_t>(source) + 1] -
-                         cp[static_cast<std::size_t>(source)]));
-    }
-
-    vidx_t d = 0;
-    while (true) {
-      ++d;
-      const bool pulling = dir.decide();
-      if (dob) pulled_level.push_back(pulling ? 1 : 0);  // decision for d
-      ft.device_fill(T{0});
-      if (pulling) {
-        spmv::frontier_to_bitmap(dev, f, n_, *bitmap);
-        if (options_.variant == Variant::kVeCsc) {
-          spmv::spmv_forward_pull_vecsc(dev, *csc, f, *bitmap, ft, sigma);
-        } else {
-          storage::with_columns(csc, ccsc, [&](const auto& g) {
-            spmv::spmv_forward_pull_sccsc(dev, g, f, *bitmap, ft, sigma);
-          });
-        }
-      } else {
-        switch (options_.variant) {
-          case Variant::kScCooc:
-            spmv::spmv_forward_sccooc(dev, *cooc, f, ft);
-            break;
-          case Variant::kScCsc:
-            storage::with_columns(csc, ccsc, [&](const auto& g) {
-              spmv::spmv_forward_sccsc(dev, g, f, ft, sigma);
-            });
-            break;
-          case Variant::kVeCsc:
-            spmv::spmv_forward_vecsc(dev, *csc, f, ft, sigma);
-            break;
-        }
-      }
-      cflag.device_fill(0);
-      // The CSC kernels fuse the sigma mask into the SpMV (Algorithm 3); the
-      // COOC pipeline applies it here instead (Algorithm 1 lines 20-22).
-      const bool mask_in_update = options_.variant == Variant::kScCooc;
-      sim::launch_scalar(dev, "bfs_update", static_cast<std::uint64_t>(n_),
-                         [&](sim::ThreadCtx& t) {
-                           const auto i = static_cast<std::size_t>(t.global_id());
-                           T v = ft.load(t, i);
-                           t.count_ops(1);
-                           if (mask_in_update && v != 0 &&
-                               sigma.load(t, i) != 0) {
-                             v = 0;
-                           }
-                           f.store(t, i, v);
-                           if (v != 0) {
-                             S.store(t, i, d);
-                             sigma.store(t, i,
-                                         static_cast<T>(sigma.load(t, i) + v));
-                             cflag.store(t, 0, 1);
-                             if (dob) {
-                               const auto& cp = ccsc != nullptr
-                                                    ? ccsc->col_ptr()
-                                                    : csc->col_ptr();
-                               cflag.atomic_add(t, 1, 1);
-                               cflag.atomic_add(
-                                   t, 2,
-                                   static_cast<std::int32_t>(
-                                       cp.load(t, i + 1) - cp.load(t, i)));
-                             }
-                           }
-                         });
-      // Host reads the frontier flag each level (one 4-byte cudaMemcpy; 12
-      // bytes in direction-optimizing mode, which also carries nf / mf).
-      const auto c_host = cflag.copy_to_host();
-      if (c_host[0] == 0) break;
-      if (dob) {
-        dir.observe(static_cast<std::uint64_t>(c_host[1]),
-                    static_cast<std::uint64_t>(c_host[2]));
-      }
-    }
-    height = d - 1;
-  }
-
-  // Backward (dependency) stage: float vectors in the bytes just freed.
-  sim::DeviceBuffer<bc_t> delta(dev, n, "delta", 4);
-  sim::DeviceBuffer<bc_t> delta_u(dev, n, "delta_u", 4);
-  sim::DeviceBuffer<bc_t> delta_ut(dev, n, "delta_ut", 4);
-  delta.device_fill(0.0);
-  // Pulled dependency gather: under --advance pull|auto the undirected
-  // backward sweep reuses the forward sweep's per-level switch decisions.
-  // delta_u at level d is nonzero exactly on the depth-d frontier, so a
-  // level the forward sweep pulled is worth pulling here too — rebuild the
-  // n/32 bitmap from delta_u and probe it per edge instead of loading the
-  // 4-byte operand. Skipped terms are exact zeros and delta_u >= 0, so the
-  // gathered sums are bit-identical to the unmasked kernels. The directed
-  // scatter already skips zero columns at the source end; it needs no map.
-  std::optional<sim::DeviceBuffer<std::uint32_t>> bbitmap;
-  if (dob && !directed_) {
-    bbitmap.emplace(dev,
-                    static_cast<std::size_t>(spmv::frontier_bitmap_words(n_)),
-                    "frontier_bitmap");
-  }
-
-  // Per-level building blocks; edge accumulation also runs at d = 1 (the
-  // vertex recursion stops at d = 2, but depth-0 -> depth-1 arcs carry
-  // dependency too).
-  const auto dep_prepare = [&](vidx_t d) {
-    sim::launch_scalar(dev, "dep_prepare", static_cast<std::uint64_t>(n_),
-                       [&](sim::ThreadCtx& t) {
-                         const auto i = static_cast<std::size_t>(t.global_id());
-                         bc_t out = 0.0;
-                         if (S.load(t, i) == d) {
-                           const T sg = sigma.load(t, i);
-                           if (sg > 0) {
-                             out = (1.0 + delta.load(t, i)) /
-                                   static_cast<bc_t>(sg);
-                           }
-                         }
-                         delta_u.store(t, i, out);
-                         t.count_ops(1);
-                       });
-  };
-
-  const auto edge_accum = [&](vidx_t d) {
-      // Edge-BC extension: the Brandes arc term sigma(i)/sigma(w)(1+delta(w))
-      // equals sigma(i) * delta_u(w); arcs i -> w from depth d-1 into depth d
-      // accumulate it. One thread per column (CSC) / per nonzero (COOC);
-      // each arc is touched by exactly one thread, so plain read-modify-
-      // write suffices.
-      const bc_t escale = directed_ ? 1.0 : 0.5;
-      if (cooc != nullptr) {
-        sim::launch_scalar(
-            dev, "edge_bc_accum", static_cast<std::uint64_t>(m_),
-            [&](sim::ThreadCtx& t) {
-              const auto k = static_cast<std::size_t>(t.global_id());
-              const vidx_t w = cooc->col_idx().load(t, k);
-              if (S.load(t, static_cast<std::size_t>(w)) != d) return;
-              const vidx_t i = cooc->row_idx().load(t, k);
-              if (S.load(t, static_cast<std::size_t>(i)) != d - 1) return;
-              const bc_t du = delta_u.load(t, static_cast<std::size_t>(w));
-              if (du == 0.0) return;
-              const T sg = sigma.load(t, static_cast<std::size_t>(i));
-              ebc_dev->store(t, k,
-                             ebc_dev->load(t, k) +
-                                 du * static_cast<bc_t>(sg) * escale);
-              t.count_ops(1);
-            });
-      } else {
-        sim::launch_scalar(
-            dev, "edge_bc_accum", static_cast<std::uint64_t>(n_),
-            [&](sim::ThreadCtx& t) {
-              const auto w = static_cast<std::size_t>(t.global_id());
-              if (S.load(t, w) != d) return;
-              const bc_t du = delta_u.load(t, w);
-              if (du == 0.0) return;
-              const spmv::dptr_t begin = csc->col_ptr().load(t, w);
-              const spmv::dptr_t end = csc->col_ptr().load(t, w + 1);
-              for (spmv::dptr_t k = begin; k < end; ++k) {
-                const vidx_t i =
-                    csc->row_idx().load(t, static_cast<std::size_t>(k));
-                t.count_ops(1);
-                if (S.load(t, static_cast<std::size_t>(i)) == d - 1) {
-                  const T sg = sigma.load(t, static_cast<std::size_t>(i));
-                  const auto kk = static_cast<std::size_t>(k);
-                  ebc_dev->store(t, kk,
-                                 ebc_dev->load(t, kk) +
-                                     du * static_cast<bc_t>(sg) * escale);
-                }
-              }
-            });
-      }
-  };
-
-  for (vidx_t d = height; d >= 2; --d) {
-    dep_prepare(d);
-    delta_ut.device_fill(0.0);
-    const bool pull_dep = bbitmap.has_value() &&
-                          static_cast<std::size_t>(d) <= pulled_level.size() &&
-                          pulled_level[static_cast<std::size_t>(d) - 1] != 0;
-    if (pull_dep) {
-      spmv::frontier_to_bitmap(dev, delta_u, n_, *bbitmap);
-      if (options_.variant == Variant::kVeCsc) {
-        spmv::spmv_backward_pull_vecsc(dev, *csc, delta_u, *bbitmap, delta_ut);
-      } else {
-        storage::with_columns(csc, ccsc, [&](const auto& g) {
-          spmv::spmv_backward_pull_sccsc(dev, g, delta_u, *bbitmap, delta_ut);
-        });
-      }
-    } else if (!directed_) {
-      switch (options_.variant) {
-        case Variant::kScCooc:
-          spmv::spmv_backward_gather_sccooc(dev, *cooc, delta_u, delta_ut);
-          break;
-        case Variant::kScCsc:
-          storage::with_columns(csc, ccsc, [&](const auto& g) {
-            spmv::spmv_backward_gather_sccsc(dev, g, delta_u, delta_ut);
-          });
-          break;
-        case Variant::kVeCsc:
-          spmv::spmv_backward_gather_vecsc(dev, *csc, delta_u, delta_ut);
-          break;
-      }
-    } else {
-      switch (options_.variant) {
-        case Variant::kScCooc:
-          spmv::spmv_backward_scatter_sccooc(dev, *cooc, delta_u, delta_ut);
-          break;
-        case Variant::kScCsc:
-          storage::with_columns(csc, ccsc, [&](const auto& g) {
-            spmv::spmv_backward_scatter_sccsc(dev, g, delta_u, delta_ut);
-          });
-          break;
-        case Variant::kVeCsc:
-          spmv::spmv_backward_scatter_vecsc(dev, *csc, delta_u, delta_ut);
-          break;
-      }
-    }
-
-    if (ebc_dev != nullptr) edge_accum(d);
-
-    sim::launch_scalar(dev, "dep_update", static_cast<std::uint64_t>(n_),
-                       [&](sim::ThreadCtx& t) {
-                         const auto i = static_cast<std::size_t>(t.global_id());
-                         if (S.load(t, i) == d - 1) {
-                           const bc_t du = delta_ut.load(t, i);
-                           if (du != 0.0) {
-                             const T sg = sigma.load(t, i);
-                             delta.store(t, i,
-                                         delta.load(t, i) +
-                                             du * static_cast<bc_t>(sg));
-                           }
-                         }
-                         t.count_ops(1);
-                       });
-  }
-
-
-  if (ebc_dev != nullptr && height >= 1) {
-    dep_prepare(1);
-    edge_accum(1);
-  }
-
-  // Accumulate into bc (Eq. 3); undirected graphs halve (Brandes).
-  const bc_t scale = directed_ ? 1.0 : 0.5;
-  sim::launch_scalar(dev, "bc_accum", static_cast<std::uint64_t>(n_),
-                     [&](sim::ThreadCtx& t) {
-                       const auto i = static_cast<std::size_t>(t.global_id());
-                       if (static_cast<vidx_t>(i) == source) return;
-                       const bc_t dl = delta.load(t, i);
-                       if (dl != 0.0) {
-                         bc_dev.store(t, i, bc_dev.load(t, i) + dl * scale);
-                       }
-                       t.count_ops(1);
-                     });
-
-  // Approx-estimator moment fold: the per-source weighted dependency sample
-  // x = w_s * delta(v) * scale and its square, accumulated into the two
-  // extra per-device float arrays. One thread per vertex; the source's own
-  // lane is skipped, matching the bc accumulation above.
-  if (moments != nullptr) {
-    const double weight = moments->weight;
-    sim::DeviceBuffer<bc_t>& msum = *moments->sum;
-    sim::DeviceBuffer<bc_t>& msumsq = *moments->sumsq;
-    sim::launch_scalar(dev, "approx_moment", static_cast<std::uint64_t>(n_),
-                       [&](sim::ThreadCtx& t) {
-                         const auto i = static_cast<std::size_t>(t.global_id());
-                         if (static_cast<vidx_t>(i) == source) return;
-                         const bc_t dl = delta.load(t, i);
-                         t.count_ops(2);
-                         if (dl != 0.0) {
-                           const bc_t x = dl * scale * weight;
-                           msum.store(t, i, msum.load(t, i) + x);
-                           msumsq.store(t, i, msumsq.load(t, i) + x * x);
-                         }
-                       });
-  }
-
-  SourceStats stats;
-  stats.bfs_depth = height;
-  vidx_t reached = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sigma.host()[i] != 0) ++reached;
-  }
-  stats.reached = reached;
-  return stats;
+  LevelDriver<ResidentColumns> driver(
+      res,
+      {n_, m_, directed_, options_.advance, options_.thresholds,
+       !options_.float_bfs},
+      source);
+  driver.forward();
+  driver.backward(std::span(&acc.bc, 1),
+                  ResidentHooks{res, m_, source, acc, weight});
+  return driver.stats();
 }
 
 TurboBC::BlockPlan TurboBC::block_plan(std::size_t count) {
@@ -458,30 +227,9 @@ TurboBC::BlockPartial TurboBC::run_source_block(
   sim::Device& rdev = *out.dev;
   rdev.set_keep_launch_records(device_.keep_launch_records());
 
-  std::optional<spmv::DeviceCsc> rcsc;
-  std::optional<spmv::DeviceCooc> rcooc;
-  std::optional<storage::DeviceCompressedCsc> rccsc;
-  if (ccsc_) {
-    rccsc.emplace(rdev, *ccsc_);
-  } else if (cooc_) {
-    rcooc.emplace(rdev, *cooc_);
-  } else {
-    rcsc.emplace(rdev, *csc_);
-  }
-  sim::DeviceBuffer<bc_t> rbc(rdev, static_cast<std::size_t>(n_), "bc", 4);
-  rbc.device_fill(0.0);
-  std::optional<sim::DeviceBuffer<bc_t>> rebc;
-  if (options_.edge_bc) {
-    rebc.emplace(rdev, static_cast<std::size_t>(m_), "edge_bc", 4);
-    rebc->device_fill(0.0);
-  }
-  std::optional<sim::DeviceBuffer<bc_t>> rsum, rsumsq;
-  if (with_moments) {
-    rsum.emplace(rdev, static_cast<std::size_t>(n_), "approx_sum", 4);
-    rsumsq.emplace(rdev, static_cast<std::size_t>(n_), "approx_sumsq", 4);
-    rsum->device_fill(0.0);
-    rsumsq->device_fill(0.0);
-  }
+  storage::ResidentGraph rgraph;
+  rgraph.replicate(rdev, graph_);
+  Accumulators racc(rdev, n_, m_, options_.edge_bc, with_moments);
   // The main device already paid for the graph upload (at construction) and
   // the bc alloc/fill (run_sources_impl); drop the replica's duplicate setup
   // charges so the block timeline holds only per-source work. The peak keeps
@@ -491,18 +239,13 @@ TurboBC::BlockPartial TurboBC::run_source_block(
   rdev.memory().reset_peak();
 
   for (std::size_t i = begin; i < end; ++i) {
-    MomentSink sink{rsum ? &*rsum : nullptr, rsumsq ? &*rsumsq : nullptr,
-                    weights != nullptr ? (*weights)[i] : 1.0};
-    out.last = run_source_on(rdev, rcsc ? &*rcsc : nullptr,
-                             rcooc ? &*rcooc : nullptr,
-                             rccsc ? &*rccsc : nullptr, sources[i], rbc,
-                             rebc ? &*rebc : nullptr,
-                             with_moments ? &sink : nullptr);
+    out.last = run_source_on(rdev, rgraph, sources[i], racc,
+                             weights != nullptr ? (*weights)[i] : 1.0);
   }
-  out.bc = rbc.host();
-  if (rebc) out.ebc = rebc->host();
-  if (rsum) out.sum = rsum->host();
-  if (rsumsq) out.sumsq = rsumsq->host();
+  out.bc = racc.bc.host();
+  if (racc.ebc) out.ebc = racc.ebc->host();
+  if (racc.sum) out.sum = racc.sum->host();
+  if (racc.sumsq) out.sumsq = racc.sumsq->host();
   out.peak_bytes = rdev.memory().peak_bytes();
   return out;
 }
@@ -527,37 +270,19 @@ BcResult TurboBC::run_sources_impl(const std::vector<vidx_t>& sources,
   device_.memory().reset_peak();
   const double start = device_.total_seconds();
 
-  sim::DeviceBuffer<bc_t> bc_dev(device_, static_cast<std::size_t>(n_), "bc",
-                                 4);
-  bc_dev.device_fill(0.0);
-  std::optional<sim::DeviceBuffer<bc_t>> ebc_dev;
-  if (options_.edge_bc) {
-    ebc_dev.emplace(device_, static_cast<std::size_t>(m_), "edge_bc", 4);
-    ebc_dev->device_fill(0.0);
-  }
   // Moment arrays live for the whole call on the main device (merge target);
   // replicas carry their own pair, so the wave footprint is 9n + m words on
   // every device.
-  std::optional<sim::DeviceBuffer<bc_t>> msum, msumsq;
-  if (moments != nullptr) {
-    msum.emplace(device_, static_cast<std::size_t>(n_), "approx_sum", 4);
-    msumsq.emplace(device_, static_cast<std::size_t>(n_), "approx_sumsq", 4);
-    msum->device_fill(0.0);
-    msumsq->device_fill(0.0);
-  }
+  Accumulators acc(device_, n_, m_, options_.edge_bc, moments != nullptr);
 
   BcResult result;
   if (sources.size() <= 1) {
     // Single source: run directly on the main device so callers inspecting
     // its launch records see the per-source kernel stream in place.
     for (std::size_t i = 0; i < sources.size(); ++i) {
-      MomentSink sink{msum ? &*msum : nullptr, msumsq ? &*msumsq : nullptr,
-                      weights != nullptr ? (*weights)[i] : 1.0};
       result.last_source =
-          run_source_on(device_, csc_ ? &*csc_ : nullptr,
-                        cooc_ ? &*cooc_ : nullptr, ccsc_ ? &*ccsc_ : nullptr,
-                        sources[i], bc_dev, ebc_dev ? &*ebc_dev : nullptr,
-                        moments != nullptr ? &sink : nullptr);
+          run_source_on(device_, graph_, sources[i], acc,
+                        weights != nullptr ? (*weights)[i] : 1.0);
     }
   } else {
     // Parallel source fan-out. Sources are split into contiguous blocks —
@@ -585,19 +310,19 @@ BcResult TurboBC::run_sources_impl(const std::vector<vidx_t>& sources,
     for (BlockPartial& blk : blocks) {
       device_.absorb_timeline(*blk.dev);
       device_.memory().note_peak(blk.peak_bytes);
-      auto& bc_host = bc_dev.host();
+      auto& bc_host = acc.bc.host();
       for (std::size_t i = 0; i < bc_host.size(); ++i) {
         bc_host[i] += blk.bc[i];
       }
-      if (ebc_dev) {
-        auto& ebc_host = ebc_dev->host();
+      if (acc.ebc) {
+        auto& ebc_host = acc.ebc->host();
         for (std::size_t i = 0; i < ebc_host.size(); ++i) {
           ebc_host[i] += blk.ebc[i];
         }
       }
-      if (msum) {
-        auto& sum_host = msum->host();
-        auto& sumsq_host = msumsq->host();
+      if (acc.sum) {
+        auto& sum_host = acc.sum->host();
+        auto& sumsq_host = acc.sumsq->host();
         for (std::size_t i = 0; i < sum_host.size(); ++i) {
           sum_host[i] += blk.sum[i];
           sumsq_host[i] += blk.sumsq[i];
@@ -611,16 +336,16 @@ BcResult TurboBC::run_sources_impl(const std::vector<vidx_t>& sources,
   // unlike the final bc download below, which models reading results back
   // after the experiment.
   if (moments != nullptr) {
-    moments->sum = msum->copy_to_host();
-    moments->sumsq = msumsq->copy_to_host();
+    moments->sum = acc.sum->copy_to_host();
+    moments->sumsq = acc.sumsq->copy_to_host();
   }
   result.sources = static_cast<vidx_t>(sources.size());
   result.device_seconds = device_.total_seconds() - start;
   result.peak_device_bytes = device_.memory().peak_bytes();
-  result.bc = bc_dev.copy_to_host();  // result download, outside the clock
-  if (ebc_dev) {
+  result.bc = acc.bc.copy_to_host();  // result download, outside the clock
+  if (acc.ebc) {
     // Download and permute from device nonzero order to canonical arc order.
-    const auto raw = ebc_dev->copy_to_host();
+    const auto raw = acc.ebc->copy_to_host();
     result.edge_bc.assign(raw.size(), 0.0);
     for (std::size_t nz = 0; nz < raw.size(); ++nz) {
       result.edge_bc[static_cast<std::size_t>(nz_to_canonical_[nz])] = raw[nz];

@@ -230,25 +230,25 @@ class TurboBC {
   }
 
  private:
-  /// Per-source moment sink: the device arrays the "approx_moment" kernel
-  /// accumulates into, plus the source's importance weight.
-  struct MomentSink {
-    sim::DeviceBuffer<bc_t>* sum = nullptr;
-    sim::DeviceBuffer<bc_t>* sumsq = nullptr;
-    double weight = 1.0;
+  /// One device's accumulators for a call: bc, plus edge_bc and the approx
+  /// moment pair ("approx_sum" / "approx_sumsq") when asked for — allocated
+  /// and zeroed in that order on the main device and on every replica.
+  struct Accumulators {
+    sim::DeviceBuffer<bc_t> bc;
+    std::optional<sim::DeviceBuffer<bc_t>> ebc, sum, sumsq;
+    Accumulators(sim::Device& dev, vidx_t n, eidx_t m, bool edge_bc,
+                 bool moments);
   };
+  struct ResidentHooks;  // edge BC and moment hooks of the level driver
 
-  /// One source's full pipeline against an explicit device and graph
-  /// structure. `dev` is either the main device (serial / single-source) or
-  /// a per-block replica of it (parallel fan-out — see run_sources); exactly
-  /// one of `csc` / `cooc` / `ccsc` is non-null, matching options_.variant
-  /// and options_.compress.
-  SourceStats run_source_on(sim::Device& dev, const spmv::DeviceCsc* csc,
-                            const spmv::DeviceCooc* cooc,
-                            const storage::DeviceCompressedCsc* ccsc,
-                            vidx_t source, sim::DeviceBuffer<bc_t>& bc_dev,
-                            sim::DeviceBuffer<bc_t>* ebc_dev,
-                            const MomentSink* moments = nullptr) const;
+  /// One source's full pipeline against an explicit device and its resident
+  /// graph: the main device (serial / single-source) or a per-block replica
+  /// of it (parallel fan-out — see run_sources). `weight` is the source's
+  /// importance weight for the moment fold.
+  SourceStats run_source_on(sim::Device& dev,
+                            const storage::ResidentGraph& graph,
+                            vidx_t source, Accumulators& acc,
+                            double weight) const;
 
   /// Shared body of run_sources / run_sources_moments. `weights` is null
   /// for plain runs; otherwise parallel to `sources`, with the per-block
@@ -262,9 +262,7 @@ class TurboBC {
   vidx_t n_ = 0;
   eidx_t m_ = 0;
   bool directed_ = false;
-  std::optional<spmv::DeviceCsc> csc_;
-  std::optional<spmv::DeviceCooc> cooc_;
-  std::optional<storage::DeviceCompressedCsc> ccsc_;
+  storage::ResidentGraph graph_;
   /// Permutation from device nonzero order (column-major) to canonical arc
   /// order; built only when options.edge_bc is set.
   std::vector<eidx_t> nz_to_canonical_;

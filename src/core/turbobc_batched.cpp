@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/vertex_kernels.hpp"
 #include "gpusim/kernel.hpp"
 #include "spmv/spmv_kernels.hpp"
 
@@ -20,12 +21,7 @@ TurboBCBatched::TurboBCBatched(sim::Device& device,
   m_ = canon.num_arcs();
   directed_ = canon.directed();
   TBC_CHECK(n_ > 0, "batched TurboBC needs a non-empty graph");
-  if (options_.compress) {
-    ccsc_.emplace(device_,
-                  storage::encode_csc(graph::CscGraph::from_edges(canon)));
-  } else {
-    csc_.emplace(device_, graph::CscGraph::from_edges(canon));
-  }
+  graph_.upload(device_, canon, /*use_cooc=*/false, options_.compress);
 }
 
 void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
@@ -36,8 +32,9 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
   const auto n = static_cast<std::size_t>(n_);
   const auto nk = n * k;
   const auto slot = [k](std::size_t v, std::size_t j) { return v * k + j; };
-  const spmv::DeviceCsc* csc = csc_ ? &*csc_ : nullptr;
-  const storage::DeviceCompressedCsc* ccsc = ccsc_ ? &*ccsc_ : nullptr;
+  const spmv::DeviceCsc* csc = graph_.csc ? &*graph_.csc : nullptr;
+  const storage::DeviceCompressedCsc* ccsc =
+      graph_.ccsc ? &*graph_.ccsc : nullptr;
 
   // Per-batch device state: the vector arrays of Algorithm 1, widened to k
   // columns (4-byte modeled words, as in the single-source pipeline).
@@ -166,24 +163,7 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
   delta.device_fill(0.0);
 
   for (vidx_t d = max_height; d >= 2; --d) {
-    sim::launch_scalar(
-        dev, "dep_prepare_batched", static_cast<std::uint64_t>(n_),
-        [&](sim::ThreadCtx& t) {
-          const auto v = static_cast<std::size_t>(t.global_id());
-          for (std::size_t j = 0; j < k; ++j) {
-            bc_t out = 0.0;
-            if (S.load(t, slot(v, j)) == d) {
-              const sigma_t sg = sigma.load(t, slot(v, j));
-              if (sg > 0) {
-                out = (1.0 + delta.load(t, slot(v, j))) /
-                      static_cast<bc_t>(sg);
-              }
-            }
-            delta_u.store(t, slot(v, j), out);
-            t.count_ops(1);
-          }
-        });
-
+    dep_prepare(dev, n_, d, S, sigma, delta, delta_u, k);
     delta_ut.device_fill(0.0);
     storage::with_columns(csc, ccsc, [&](const auto& g) {
       if (!directed_) {
@@ -193,49 +173,11 @@ void TurboBCBatched::run_batch(const std::vector<vidx_t>& batch,
         spmv::dep_spmm_sccsc_scatter(dev, g, k, delta_u, delta_ut);
       }
     });
-
-    sim::launch_scalar(
-        dev, "dep_update_batched", static_cast<std::uint64_t>(n_),
-        [&](sim::ThreadCtx& t) {
-          const auto v = static_cast<std::size_t>(t.global_id());
-          for (std::size_t j = 0; j < k; ++j) {
-            t.count_ops(1);
-            if (S.load(t, slot(v, j)) == d - 1) {
-              const bc_t du = delta_ut.load(t, slot(v, j));
-              if (du != 0.0) {
-                const sigma_t sg = sigma.load(t, slot(v, j));
-                delta.store(t, slot(v, j),
-                            delta.load(t, slot(v, j)) +
-                                du * static_cast<bc_t>(sg));
-              }
-            }
-          }
-        });
+    dep_update(dev, n_, d, S, sigma, delta_ut, delta, k);
   }
 
-  // Strict per-lane LEFT fold into the running accumulator — the exact
-  // float grouping of the per-source engine's block merge (singleton blocks
-  // for <= 64 sources): bc(v) gains each lane's dl * scale one add at a
-  // time, in source order, skipping only exact zeros. This is what makes
-  // batched BC bit-identical to per-source TurboBC on any <= 64-source set.
   const bc_t scale = directed_ ? 1.0 : 0.5;
-  sim::launch_scalar(
-      dev, "bc_accum_batched", static_cast<std::uint64_t>(n_),
-      [&](sim::ThreadCtx& t) {
-        const auto v = static_cast<std::size_t>(t.global_id());
-        bc_t acc = bc_dev.load(t, v);
-        bool touched = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (static_cast<vidx_t>(v) == batch[j]) continue;
-          const bc_t dl = delta.load(t, slot(v, j));
-          if (dl != 0.0) {
-            acc += dl * scale;
-            touched = true;
-          }
-          t.count_ops(1);
-        }
-        if (touched) bc_dev.store(t, v, acc);
-      });
+  bc_accum_batched(dev, n_, 0, batch, scale, delta, bc_dev);
 
   if (moments != nullptr) {
     sim::DeviceBuffer<bc_t>& msum = *moments->sum;

@@ -31,7 +31,6 @@
 // storage (index v * k + j) keeps one source's lanes adjacent.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -118,8 +117,7 @@ class TurboBCBatched {
   vidx_t n_ = 0;
   eidx_t m_ = 0;
   bool directed_ = false;
-  std::optional<spmv::DeviceCsc> csc_;
-  std::optional<storage::DeviceCompressedCsc> ccsc_;
+  storage::ResidentGraph graph_;
 };
 
 }  // namespace turbobc::bc

@@ -10,7 +10,6 @@
 // sigma/S columns of the BC pipeline are made of.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -64,9 +63,7 @@ class TurboBfs {
   DirectionThresholds thresholds_;
   vidx_t n_ = 0;
   eidx_t m_ = 0;
-  std::optional<spmv::DeviceCsc> csc_;
-  std::optional<spmv::DeviceCooc> cooc_;
-  std::optional<storage::DeviceCompressedCsc> ccsc_;
+  storage::ResidentGraph graph_;
 };
 
 }  // namespace turbobc::bc

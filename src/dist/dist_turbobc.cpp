@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/level_driver.hpp"
 #include "gpusim/executor.hpp"
 #include "gpusim/kernel.hpp"
 #include "graph/csc.hpp"
@@ -74,7 +75,193 @@ void finish_accounting(sim::Topology& topo, const RunBaseline& base,
   result.device_seconds = max_device + result.comm_seconds;
 }
 
+/// The partitioned backward product around the per-shard kernels, over
+/// `lanes` interleaved dependency columns (1 for the per-source sweep, kb
+/// for the MS-BFS block).
+/// `product(k, x, y)` issues shard k's kernel.
+///  * Undirected (symmetric matrix): one all_gather of every shard's
+///    delta_u slice, staged full-length into each device's exchange buffer
+///    x; the gather then sums shard k's own columns into y = delta_ut[k].
+///    Per-column serial sums read the same rows in the same order as the
+///    single device — bit-identical.
+///  * Directed: out-neighbour sums need the transposed product, a scatter
+///    of x = delta_u[k] into a full-length y. That partial vector travels a
+///    modeled ring in device order, each scatter landing on top of the
+///    previous devices' sums, so the float adds commit in global column
+///    order — the exact order the single device's one scatter kernel commits
+///    them in. The last device then returns every shard its own slice.
+template <typename Product>
+void exchange_dependencies(sim::Topology& topo, const ShardPlan& plan,
+                           bool directed, std::size_t lanes,
+                           bc::PerPart<bc_t>& delta_u,
+                           bc::PerPart<bc_t>& delta_ut,
+                           bc::PerPart<bc_t>& xb, Product&& product) {
+  const int k_devices = topo.num_devices();
+  if (!directed) {
+    topo.all_gather(static_cast<std::uint64_t>(lanes) * plan.rank_bytes());
+    std::vector<bc_t> global_du(xb[0].size(), 0.0);
+    for (int k = 0; k < k_devices; ++k) {
+      const auto& duk = delta_u[static_cast<std::size_t>(k)].host();
+      std::copy(duk.begin(), duk.end(),
+                global_du.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        static_cast<std::size_t>(plan.col_begin(k)) * lanes));
+    }
+    for (int k = 0; k < k_devices; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      xb[kk].host() = global_du;
+      delta_ut[kk].device_fill(0.0);
+      product(k, xb[kk], delta_ut[kk]);
+    }
+    return;
+  }
+  for (int k = 0; k < k_devices; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    if (k == 0) {
+      xb[kk].device_fill(0.0);
+    } else {
+      topo.device_to_device_copy(k - 1, k, 4ull * xb[kk].size());
+      xb[kk].host() = xb[kk - 1].host();
+    }
+    product(k, delta_u[kk], xb[kk]);
+  }
+  const int tail = k_devices - 1;
+  const auto& full = xb[static_cast<std::size_t>(tail)].host();
+  for (int k = 0; k < k_devices; ++k) {
+    auto& dst = delta_ut[static_cast<std::size_t>(k)].host();
+    if (k != tail) topo.device_to_device_copy(tail, k, 4ull * dst.size());
+    const auto cb = static_cast<std::ptrdiff_t>(
+        static_cast<std::size_t>(plan.col_begin(k)) * lanes);
+    std::copy(full.begin() + cb,
+              full.begin() + cb + static_cast<std::ptrdiff_t>(dst.size()),
+              dst.begin());
+  }
+}
+
 }  // namespace
+
+/// The partitioned residency of the level driver: K devices, shard k's
+/// column slice on device k, every device stepping in lock-step in device
+/// order. Local columns, global rows: the forward products read a
+/// full-length frontier operand exchanged before each level, and the
+/// backward product is exchange_dependencies. The backward stage never
+/// pulls (the exchange already moves the dense operand).
+struct DistTurboBC::Partitioned {
+  static constexpr bool kPull = true;
+  static constexpr bool kPullBackward = false;
+  static constexpr bool kExchange = true;
+
+  DistTurboBC& engine;
+
+  const Shard& shard(int k) const {
+    return engine.shards_[static_cast<std::size_t>(k)];
+  }
+  /// Shard k's storage as a resident residency over its local columns.
+  bc::ResidentColumns columns(int k) const {
+    const Shard& sh = shard(k);
+    return {device(k), sh.variant, sh.csc ? &*sh.csc : nullptr,
+            sh.cooc ? &*sh.cooc : nullptr, nullptr, sh.n_local(),
+            engine.directed_};
+  }
+
+  int parts() const { return engine.topo_.num_devices(); }
+  sim::Device& device(int k) const { return engine.topo_.device(k); }
+  vidx_t n_local(int k) const { return shard(k).n_local(); }
+  vidx_t col_begin(int k) const { return engine.plan_.col_begin(k); }
+  int owner(vidx_t v) const { return engine.plan_.owner(v); }
+  bool mask_in_update(int k) const {
+    return shard(k).variant == bc::Variant::kScCooc;
+  }
+  const sim::DeviceBuffer<spmv::dptr_t>& col_ptr(int k) const {
+    return shard(k).csc->col_ptr();
+  }
+
+  /// Frontier exchange: one modeled all_gather; the payload copy itself is
+  /// free host work (buffer host() staging), like copy_from_host's
+  /// functional half. Direction-optimizing runs gather the dense bitmap
+  /// (ceil(block_len/32) words per rank) plus one packed block of the
+  /// level's new frontier values, padded to the largest rank so the
+  /// collective stays rank-uniform.
+  void exchange_frontier(const bc::PerPart<sigma_t>& f,
+                         bc::PerPart<sigma_t>& xf, bool dob) const {
+    sim::Topology& topo = engine.topo_;
+    const ShardPlan& plan = engine.plan_;
+    if (dob) {
+      topo.all_gather(plan.rank_bitmap_bytes());
+      std::uint64_t max_nf = 0;
+      for (const auto& fk : f) {
+        std::uint64_t c = 0;
+        for (const sigma_t v : fk.host()) {
+          if (v != 0) ++c;
+        }
+        max_nf = std::max(max_nf, c);
+      }
+      if (max_nf > 0) topo.all_gather(4ull * max_nf);
+    } else {
+      topo.all_gather(plan.rank_bytes());
+    }
+    std::vector<sigma_t> frontier(xf[0].size(), sigma_t{0});
+    for (int k = 0; k < parts(); ++k) {
+      const auto& fk = f[static_cast<std::size_t>(k)].host();
+      std::copy(fk.begin(), fk.end(), frontier.begin() + plan.col_begin(k));
+    }
+    for (auto& x : xf) x.host() = frontier;
+  }
+
+  template <typename T>
+  void forward_product(int k, bool pull, const sim::DeviceBuffer<T>& x,
+                       const sim::DeviceBuffer<std::uint32_t>* bitmap,
+                       sim::DeviceBuffer<T>& y,
+                       const sim::DeviceBuffer<T>& sigma) const {
+    columns(k).forward_product(k, pull, x, bitmap, y, sigma);
+  }
+
+  void backward_product(bool, bc::PerPart<bc_t>& delta_u,
+                        bc::PerPart<bc_t>& delta_ut, bc::PerPart<bc_t>& xb,
+                        bc::PerPart<std::uint32_t>&) const {
+    exchange_dependencies(engine.topo_, engine.plan_, engine.directed_, 1,
+                          delta_u, delta_ut, xb,
+                          [&](int k, const auto& x, auto& y) {
+                            columns(k).product(x, nullptr, y);
+                          });
+  }
+
+  /// Per-device bc accumulators over the local column slices; they live for
+  /// the whole call, like the single engine's "bc" array.
+  bc::PerPart<bc_t> bc_slices() const {
+    bc::PerPart<bc_t> bck;
+    for (int k = 0; k < parts(); ++k) {
+      bck.emplace_back(device(k), static_cast<std::size_t>(n_local(k)), "bc",
+                       4);
+    }
+    return bck;
+  }
+
+  /// Assemble the global bc from each shard's slice(k), the shard rows and
+  /// the run's clocks.
+  template <typename Slice>
+  DistResult finish(const RunBaseline& base, std::size_t sources,
+                    bc::SourceStats last, Slice&& slice) const {
+    DistResult result;
+    result.strategy_used = Strategy::kPartition;
+    result.last_source = last;
+    result.sources = static_cast<vidx_t>(sources);
+    result.bc.assign(static_cast<std::size_t>(engine.n_), 0.0);
+    result.shards.resize(static_cast<std::size_t>(parts()));
+    for (int k = 0; k < parts(); ++k) {
+      const std::vector<bc_t>& sl = slice(k);
+      std::copy(sl.begin(), sl.end(), result.bc.begin() + col_begin(k));
+      const Shard& sh = shard(k);
+      ShardInfo& si = result.shards[static_cast<std::size_t>(k)];
+      si.variant = sh.variant;
+      si.col_begin = sh.col_begin;
+      si.col_end = sh.col_end;
+      si.arcs = sh.cooc ? sh.cooc->m() : sh.csc->m();
+    }
+    finish_accounting(engine.topo_, base, result);
+    return result;
+  }
+};
 
 const char* to_string(Strategy s) {
   switch (s) {
@@ -322,428 +509,38 @@ DistResult DistTurboBC::run_replicated(const std::vector<vidx_t>& sources,
 }
 
 DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
-  using T = sigma_t;
-  const int k_devices = topo_.num_devices();
-  const auto nn = static_cast<std::size_t>(n_);
   const RunBaseline base = RunBaseline::capture(topo_);
-
-  // Per-device bc accumulators live for the whole call (like the single
-  // engine's "bc" array), zeroed per source block.
-  std::vector<sim::DeviceBuffer<bc_t>> bck;
-  bck.reserve(static_cast<std::size_t>(k_devices));
-  for (int k = 0; k < k_devices; ++k) {
-    bck.emplace_back(topo_.device(k),
-                     static_cast<std::size_t>(shards_[static_cast<std::size_t>(
-                                                          k)].n_local()),
-                     "bc", 4);
-  }
-
-  // One source's whole pipeline, every shard stepping in lock-step in device
-  // order. Mirrors TurboBC::run_source_on stage for stage; the differences
-  // are the exchange buffer and the collectives around each SpMV.
-  const auto run_one = [&](vidx_t source) -> bc::SourceStats {
-    std::vector<sim::DeviceBuffer<std::int32_t>> S;
-    std::vector<sim::DeviceBuffer<T>> sigma;
-    S.reserve(static_cast<std::size_t>(k_devices));
-    sigma.reserve(static_cast<std::size_t>(k_devices));
-    for (int k = 0; k < k_devices; ++k) {
-      sim::Device& dev = topo_.device(k);
-      const auto nl =
-          static_cast<std::size_t>(shards_[static_cast<std::size_t>(k)]
-                                       .n_local());
-      S.emplace_back(dev, nl, "S");
-      sigma.emplace_back(dev, nl, "sigma", 4);
-      sigma.back().set_modeled_integer(true);
-      S.back().device_fill(0);
-      sigma.back().device_fill(0);
-    }
-
-    vidx_t height = 0;
-    {
-      // Forward (BFS) stage; f / f_t / exchange freed at scope end to make
-      // room for the dependency triple, like the single engine.
-      const bool dob = options_.advance != bc::Advance::kPush;
-      std::vector<sim::DeviceBuffer<T>> f, ft, xf;
-      std::vector<sim::DeviceBuffer<std::int32_t>> cflag;
-      std::vector<sim::DeviceBuffer<std::uint32_t>> fbm;
-      f.reserve(static_cast<std::size_t>(k_devices));
-      ft.reserve(static_cast<std::size_t>(k_devices));
-      xf.reserve(static_cast<std::size_t>(k_devices));
-      cflag.reserve(static_cast<std::size_t>(k_devices));
-      if (dob) fbm.reserve(static_cast<std::size_t>(k_devices));
-      for (int k = 0; k < k_devices; ++k) {
-        sim::Device& dev = topo_.device(k);
-        const auto nl =
-            static_cast<std::size_t>(shards_[static_cast<std::size_t>(k)]
-                                         .n_local());
-        f.emplace_back(dev, nl, "f", 4);
-        f.back().set_modeled_integer(true);
-        ft.emplace_back(dev, nl, "f_t", 4);
-        ft.back().set_modeled_integer(true);
-        xf.emplace_back(dev, nn, "exchange", 4);
-        xf.back().set_modeled_integer(true);
-        // Same 3-counter widening as the single engine in DO mode.
-        cflag.emplace_back(dev, dob ? 3 : 1, "c");
-        if (dob) {
-          fbm.emplace_back(
-              dev, static_cast<std::size_t>(spmv::frontier_bitmap_words(n_)),
-              "frontier_bitmap");
-        }
-        f.back().device_fill(T{0});
-      }
-
-      const int src_owner = plan_.owner(source);
-      const auto src_local = static_cast<std::size_t>(
-          source - plan_.col_begin(src_owner));
-      sim::launch_scalar(topo_.device(src_owner), "bfs_init", 1,
-                         [&](sim::ThreadCtx& t) {
-                           f[static_cast<std::size_t>(src_owner)].store(
-                               t, src_local, T{1});
-                           sigma[static_cast<std::size_t>(src_owner)].store(
-                               t, src_local, T{1});
-                         });
-
-      // Direction-switch state — same model as TurboBC::run_source_on; nf
-      // and mf are summed over shards from the widened flag readbacks.
-      bc::DirectionSwitch dir(options_.advance, options_.thresholds, n_, m_);
-      if (dob) {
-        // The source's column is wholly owned by one shard, so the local
-        // pointer delta IS its global in-degree.
-        const auto& cp = shards_[static_cast<std::size_t>(src_owner)]
-                             .csc->col_ptr()
-                             .host();
-        dir.observe(1, static_cast<std::uint64_t>(cp[src_local + 1] -
-                                                  cp[src_local]));
-      }
-
-      vidx_t d = 0;
-      while (true) {
-        ++d;
-        // Frontier exchange: one modeled all_gather; the payload copy itself
-        // is free host work (buffer host() staging), like copy_from_host's
-        // functional half. Direction-optimizing runs gather the dense
-        // bitmap (ceil(block_len/32) words per rank) plus one packed block
-        // of the level's new frontier values, padded to the largest rank so
-        // the collective stays rank-uniform.
-        if (dob) {
-          topo_.all_gather(plan_.rank_bitmap_bytes());
-          std::uint64_t max_nf = 0;
-          for (int k = 0; k < k_devices; ++k) {
-            std::uint64_t c = 0;
-            for (const T v : f[static_cast<std::size_t>(k)].host()) {
-              if (v != 0) ++c;
-            }
-            max_nf = std::max(max_nf, c);
-          }
-          if (max_nf > 0) topo_.all_gather(4ull * max_nf);
-        } else {
-          topo_.all_gather(plan_.rank_bytes());
-        }
-        std::vector<T> frontier(nn, T{0});
-        for (int k = 0; k < k_devices; ++k) {
-          const auto& fk = f[static_cast<std::size_t>(k)].host();
-          std::copy(fk.begin(), fk.end(),
-                    frontier.begin() + plan_.col_begin(k));
-        }
-        for (int k = 0; k < k_devices; ++k) {
-          xf[static_cast<std::size_t>(k)].host() = frontier;
-        }
-
-        const bool pulling = dir.decide();
-
-        bool any_frontier = false;
-        std::uint64_t level_nf = 0, level_mf = 0;
-        for (int k = 0; k < k_devices; ++k) {
-          sim::Device& dev = topo_.device(k);
-          const auto kk = static_cast<std::size_t>(k);
-          const Shard& sh = shards_[kk];
-          ft[kk].device_fill(T{0});
-          if (pulling) {
-            // Local columns, global rows: the bitmap spans the full vertex
-            // range, the fold reads the exchanged full-length operand.
-            spmv::frontier_to_bitmap(dev, xf[kk], n_, fbm[kk]);
-            if (sh.variant == bc::Variant::kVeCsc) {
-              spmv::spmv_forward_pull_vecsc(dev, *sh.csc, xf[kk], fbm[kk],
-                                            ft[kk], sigma[kk]);
-            } else {
-              spmv::spmv_forward_pull_sccsc(dev, *sh.csc, xf[kk], fbm[kk],
-                                            ft[kk], sigma[kk]);
-            }
-          } else {
-            switch (sh.variant) {
-              case bc::Variant::kScCooc:
-                spmv::spmv_forward_sccooc(dev, *sh.cooc, xf[kk], ft[kk]);
-                break;
-              case bc::Variant::kScCsc:
-                spmv::spmv_forward_sccsc(dev, *sh.csc, xf[kk], ft[kk],
-                                         sigma[kk]);
-                break;
-              case bc::Variant::kVeCsc:
-                spmv::spmv_forward_vecsc(dev, *sh.csc, xf[kk], ft[kk],
-                                         sigma[kk]);
-                break;
-            }
-          }
-          cflag[kk].device_fill(0);
-          const bool mask_in_update = sh.variant == bc::Variant::kScCooc;
-          sim::launch_scalar(
-              dev, "bfs_update", static_cast<std::uint64_t>(sh.n_local()),
-              [&](sim::ThreadCtx& t) {
-                const auto i = static_cast<std::size_t>(t.global_id());
-                T v = ft[kk].load(t, i);
-                t.count_ops(1);
-                if (mask_in_update && v != 0 && sigma[kk].load(t, i) != 0) {
-                  v = 0;
-                }
-                f[kk].store(t, i, v);
-                if (v != 0) {
-                  S[kk].store(t, i, d);
-                  sigma[kk].store(
-                      t, i, static_cast<T>(sigma[kk].load(t, i) + v));
-                  cflag[kk].store(t, 0, 1);
-                  if (dob) {
-                    cflag[kk].atomic_add(t, 1, 1);
-                    cflag[kk].atomic_add(
-                        t, 2,
-                        static_cast<std::int32_t>(
-                            sh.csc->col_ptr().load(t, i + 1) -
-                            sh.csc->col_ptr().load(t, i)));
-                  }
-                }
-              });
-          // Every device's frontier flag is read back each level (K 4-byte
-          // copies — the distributed version of the single readback; 12
-          // bytes each in direction-optimizing mode).
-          const auto c_host = cflag[kk].copy_to_host();
-          if (c_host[0] != 0) any_frontier = true;
-          if (dob) {
-            level_nf += static_cast<std::uint64_t>(c_host[1]);
-            level_mf += static_cast<std::uint64_t>(c_host[2]);
-          }
-        }
-        if (!any_frontier) break;
-        if (dob) dir.observe(level_nf, level_mf);
-      }
-      height = d - 1;
-    }
-
-    // Backward (dependency) stage in the bytes just freed.
-    std::vector<sim::DeviceBuffer<bc_t>> delta, delta_u, delta_ut, xb;
-    delta.reserve(static_cast<std::size_t>(k_devices));
-    delta_u.reserve(static_cast<std::size_t>(k_devices));
-    delta_ut.reserve(static_cast<std::size_t>(k_devices));
-    xb.reserve(static_cast<std::size_t>(k_devices));
-    for (int k = 0; k < k_devices; ++k) {
-      sim::Device& dev = topo_.device(k);
-      const auto nl =
-          static_cast<std::size_t>(shards_[static_cast<std::size_t>(k)]
-                                       .n_local());
-      delta.emplace_back(dev, nl, "delta", 4);
-      delta_u.emplace_back(dev, nl, "delta_u", 4);
-      delta_ut.emplace_back(dev, nl, "delta_ut", 4);
-      xb.emplace_back(dev, nn, "exchange", 4);
-      delta.back().device_fill(0.0);
-    }
-
-    for (vidx_t d = height; d >= 2; --d) {
-      for (int k = 0; k < k_devices; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        sim::launch_scalar(
-            topo_.device(k), "dep_prepare",
-            static_cast<std::uint64_t>(shards_[kk].n_local()),
-            [&](sim::ThreadCtx& t) {
-              const auto i = static_cast<std::size_t>(t.global_id());
-              bc_t out = 0.0;
-              if (S[kk].load(t, i) == d) {
-                const T sg = sigma[kk].load(t, i);
-                if (sg > 0) {
-                  out = (1.0 + delta[kk].load(t, i)) / static_cast<bc_t>(sg);
-                }
-              }
-              delta_u[kk].store(t, i, out);
-              t.count_ops(1);
-            });
-      }
-
-      if (!directed_) {
-        // Symmetric matrix: exchange delta_u, then each shard gathers its
-        // own columns. Per-column serial sums read the same rows in the same
-        // order as the single device — bit-identical.
-        topo_.all_gather(plan_.rank_bytes());
-        std::vector<bc_t> global_du(nn, 0.0);
-        for (int k = 0; k < k_devices; ++k) {
-          const auto& duk = delta_u[static_cast<std::size_t>(k)].host();
-          std::copy(duk.begin(), duk.end(),
-                    global_du.begin() + plan_.col_begin(k));
-        }
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          sim::Device& dev = topo_.device(k);
-          xb[kk].host() = global_du;
-          delta_ut[kk].device_fill(0.0);
-          const Shard& sh = shards_[kk];
-          switch (sh.variant) {
-            case bc::Variant::kScCooc:
-              spmv::spmv_backward_gather_sccooc(dev, *sh.cooc, xb[kk],
-                                                delta_ut[kk]);
-              break;
-            case bc::Variant::kScCsc:
-              spmv::spmv_backward_gather_sccsc(dev, *sh.csc, xb[kk],
-                                               delta_ut[kk]);
-              break;
-            case bc::Variant::kVeCsc:
-              spmv::spmv_backward_gather_vecsc(dev, *sh.csc, xb[kk],
-                                               delta_ut[kk]);
-              break;
-          }
-        }
-      } else {
-        // Directed: out-neighbour sums need the transposed product, a
-        // scatter into a full-length vector. The partial vector travels a
-        // modeled ring in device order, each shard scattering on top — the
-        // float adds land in global column order, the exact order the single
-        // device's one scatter kernel commits them in.
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          sim::Device& dev = topo_.device(k);
-          if (k == 0) {
-            xb[kk].device_fill(0.0);
-          } else {
-            topo_.device_to_device_copy(k - 1, k, 4ull * nn);
-            xb[kk].host() = xb[kk - 1].host();
-          }
-          const Shard& sh = shards_[kk];
-          switch (sh.variant) {
-            case bc::Variant::kScCooc:
-              spmv::spmv_backward_scatter_sccooc(dev, *sh.cooc, delta_u[kk],
-                                                 xb[kk]);
-              break;
-            case bc::Variant::kScCsc:
-              spmv::spmv_backward_scatter_sccsc(dev, *sh.csc, delta_u[kk],
-                                                xb[kk]);
-              break;
-            case bc::Variant::kVeCsc:
-              spmv::spmv_backward_scatter_vecsc(dev, *sh.csc, delta_u[kk],
-                                                xb[kk]);
-              break;
-          }
-        }
-        // The last device holds the full product; every shard receives its
-        // own slice.
-        const int tail = k_devices - 1;
-        const auto& full = xb[static_cast<std::size_t>(tail)].host();
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          if (k != tail) {
-            topo_.device_to_device_copy(
-                tail, k,
-                4ull * static_cast<std::uint64_t>(shards_[kk].n_local()));
-          }
-          auto& dst = delta_ut[kk].host();
-          std::copy(full.begin() + plan_.col_begin(k),
-                    full.begin() + plan_.col_end(k), dst.begin());
-        }
-      }
-
-      for (int k = 0; k < k_devices; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        sim::launch_scalar(
-            topo_.device(k), "dep_update",
-            static_cast<std::uint64_t>(shards_[kk].n_local()),
-            [&](sim::ThreadCtx& t) {
-              const auto i = static_cast<std::size_t>(t.global_id());
-              if (S[kk].load(t, i) == d - 1) {
-                const bc_t du = delta_ut[kk].load(t, i);
-                if (du != 0.0) {
-                  const T sg = sigma[kk].load(t, i);
-                  delta[kk].store(
-                      t, i, delta[kk].load(t, i) + du * static_cast<bc_t>(sg));
-                }
-              }
-              t.count_ops(1);
-            });
-      }
-    }
-
-    const bc_t scale = directed_ ? 1.0 : 0.5;
-    for (int k = 0; k < k_devices; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const vidx_t col_begin = plan_.col_begin(k);
-      sim::launch_scalar(
-          topo_.device(k), "bc_accum",
-          static_cast<std::uint64_t>(shards_[kk].n_local()),
-          [&](sim::ThreadCtx& t) {
-            const auto i = static_cast<std::size_t>(t.global_id());
-            if (col_begin + static_cast<vidx_t>(i) == source) return;
-            const bc_t dl = delta[kk].load(t, i);
-            if (dl != 0.0) {
-              bck[kk].store(t, i, bck[kk].load(t, i) + dl * scale);
-            }
-            t.count_ops(1);
-          });
-    }
-
-    bc::SourceStats stats;
-    stats.bfs_depth = height;
-    vidx_t reached = 0;
-    for (int k = 0; k < k_devices; ++k) {
-      for (const T s : sigma[static_cast<std::size_t>(k)].host()) {
-        if (s != 0) ++reached;
-      }
-    }
-    stats.reached = reached;
-    return stats;
-  };
+  Partitioned res{*this};
+  bc::PerPart<bc_t> bck = res.bc_slices();
+  const bc::LevelOptions level{n_, m_, directed_, options_.advance,
+                               options_.thresholds};
 
   // Same fixed source-block grouping as the single engine: per block the
   // per-device bc arrays restart from zero and the block's contribution is
   // folded on the host, so the float grouping matches the single engine's
-  // per-block partials exactly.
+  // per-block partials exactly. Each source is one level-driver sweep, every
+  // shard stepping in lock-step in device order.
   const std::size_t count = sources.size();
   const bc::TurboBC::BlockPlan plan = bc::TurboBC::block_plan(count);
-  std::vector<std::vector<bc_t>> acc(static_cast<std::size_t>(k_devices));
-  for (int k = 0; k < k_devices; ++k) {
-    acc[static_cast<std::size_t>(k)].assign(
-        static_cast<std::size_t>(shards_[static_cast<std::size_t>(k)]
-                                     .n_local()),
-        0.0);
-  }
-  DistResult result;
-  result.strategy_used = Strategy::kPartition;
+  std::vector<std::vector<bc_t>> acc;
+  for (const auto& b : bck) acc.emplace_back(b.size(), 0.0);
+  bc::SourceStats last;
   for (std::size_t b = 0; b < plan.num_blocks; ++b) {
-    for (int k = 0; k < k_devices; ++k) {
-      bck[static_cast<std::size_t>(k)].device_fill(0.0);
-    }
+    for (auto& buf : bck) buf.device_fill(0.0);
     for (std::size_t i = plan.begin(b); i < plan.end(b, count); ++i) {
-      result.last_source = run_one(sources[i]);
+      bc::LevelDriver<Partitioned> driver(res, level, sources[i]);
+      driver.forward();
+      driver.backward(std::span(bck));
+      last = driver.stats();
     }
-    for (int k = 0; k < k_devices; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const auto& partial = bck[kk].host();
-      for (std::size_t i = 0; i < partial.size(); ++i) {
-        acc[kk][i] += partial[i];
-      }
+    for (std::size_t k = 0; k < bck.size(); ++k) {
+      const auto& partial = bck[k].host();
+      for (std::size_t i = 0; i < partial.size(); ++i) acc[k][i] += partial[i];
     }
   }
-
-  result.bc.assign(nn, 0.0);
-  for (int k = 0; k < k_devices; ++k) {
-    const auto& slice = acc[static_cast<std::size_t>(k)];
-    std::copy(slice.begin(), slice.end(),
-              result.bc.begin() + plan_.col_begin(k));
-  }
-  result.sources = static_cast<vidx_t>(count);
-  result.shards.resize(static_cast<std::size_t>(k_devices));
-  for (int k = 0; k < k_devices; ++k) {
-    const auto kk = static_cast<std::size_t>(k);
-    ShardInfo& si = result.shards[kk];
-    si.variant = shards_[kk].variant;
-    si.col_begin = shards_[kk].col_begin;
-    si.col_end = shards_[kk].col_end;
-    si.arcs = shards_[kk].cooc ? shards_[kk].cooc->m() : shards_[kk].csc->m();
-  }
-  finish_accounting(topo_, base, result);
-  return result;
+  return res.finish(base, count, last, [&](int k) -> const std::vector<bc_t>& {
+    return acc[static_cast<std::size_t>(k)];
+  });
 }
 
 DistResult DistTurboBC::run_partitioned_batched(
@@ -753,21 +550,12 @@ DistResult DistTurboBC::run_partitioned_batched(
   const auto nn = static_cast<std::size_t>(n_);
   const RunBaseline base = RunBaseline::capture(topo_);
 
-  // Per-device bc accumulators live for the whole call and accumulate every
-  // block on-device via the strict per-lane fold — the same float grouping
-  // as TurboBCBatched::run_sources, which never folds blocks on the host.
-  std::vector<sim::DeviceBuffer<bc_t>> bck;
-  bck.reserve(static_cast<std::size_t>(k_devices));
-  for (int k = 0; k < k_devices; ++k) {
-    bck.emplace_back(topo_.device(k),
-                     static_cast<std::size_t>(shards_[static_cast<std::size_t>(
-                                                          k)].n_local()),
-                     "bc", 4);
-    bck.back().device_fill(0.0);
-  }
-
-  DistResult result;
-  result.strategy_used = Strategy::kPartition;
+  // The bc accumulators accumulate every block on-device via the strict
+  // per-lane fold — the same float grouping as TurboBCBatched::run_sources,
+  // which never folds blocks on the host.
+  Partitioned res{*this};
+  bc::PerPart<bc_t> bck = res.bc_slices();
+  for (auto& buf : bck) buf.device_fill(0.0);
 
   // One MS-BFS block of kb <= 64 sources, every shard in lock-step. The
   // forward exchange carries ONE 8-byte mask word per vertex per level for
@@ -927,105 +715,24 @@ DistResult DistTurboBC::run_partitioned_batched(
     for (vidx_t d = max_height; d >= 2; --d) {
       for (int k = 0; k < k_devices; ++k) {
         const auto kk = static_cast<std::size_t>(k);
-        sim::launch_scalar(
-            topo_.device(k), "dep_prepare_batched",
-            static_cast<std::uint64_t>(shards_[kk].n_local()),
-            [&](sim::ThreadCtx& t) {
-              const auto v = static_cast<std::size_t>(t.global_id());
-              for (std::size_t j = 0; j < kb; ++j) {
-                bc_t out = 0.0;
-                if (S[kk].load(t, slot(v, j)) == d) {
-                  const T sg = sigma[kk].load(t, slot(v, j));
-                  if (sg > 0) {
-                    out = (1.0 + delta[kk].load(t, slot(v, j))) /
-                          static_cast<bc_t>(sg);
-                  }
-                }
-                delta_u[kk].store(t, slot(v, j), out);
-                t.count_ops(1);
-              }
-            });
+        bc::dep_prepare(topo_.device(k), shards_[kk].n_local(), d, S[kk],
+                        sigma[kk], delta[kk], delta_u[kk], kb);
       }
-
-      if (!directed_) {
-        // Exchange all kb delta_u columns, then per-shard column gathers in
-        // the same edge order as the single batched device — bit-identical.
-        topo_.all_gather(static_cast<std::uint64_t>(kb) * plan_.rank_bytes());
-        std::vector<bc_t> global_du(nn * kb, 0.0);
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          const auto& duk = delta_u[kk].host();
-          std::copy(duk.begin(), duk.end(),
-                    global_du.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            static_cast<std::size_t>(plan_.col_begin(k)) *
-                            kb));
-        }
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          sim::Device& dev = topo_.device(k);
-          xb[kk].host() = global_du;
-          delta_ut[kk].device_fill(0.0);
-          spmv::dep_spmm_sccsc(dev, *shards_[kk].csc, kb, xb[kk],
-                               delta_ut[kk]);
-        }
-      } else {
-        // Directed: the kb-column scatter rides the same device-order ring
-        // as the scalar path, so the float adds commit in global column
-        // order — the single batched device's order.
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          sim::Device& dev = topo_.device(k);
-          if (k == 0) {
-            xb[kk].device_fill(0.0);
-          } else {
-            topo_.device_to_device_copy(
-                k - 1, k, 4ull * static_cast<std::uint64_t>(nn * kb));
-            xb[kk].host() = xb[kk - 1].host();
-          }
-          spmv::dep_spmm_sccsc_scatter(dev, *shards_[kk].csc, kb,
-                                       delta_u[kk], xb[kk]);
-        }
-        const int tail = k_devices - 1;
-        const auto& full_du = xb[static_cast<std::size_t>(tail)].host();
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          if (k != tail) {
-            topo_.device_to_device_copy(
-                tail, k,
-                4ull * static_cast<std::uint64_t>(
-                           static_cast<std::size_t>(shards_[kk].n_local()) *
-                           kb));
-          }
-          auto& dst = delta_ut[kk].host();
-          const auto cb = static_cast<std::size_t>(plan_.col_begin(k)) * kb;
-          std::copy(full_du.begin() + static_cast<std::ptrdiff_t>(cb),
-                    full_du.begin() +
-                        static_cast<std::ptrdiff_t>(cb + dst.size()),
-                    dst.begin());
-        }
-      }
-
+      // The same batched SpMM kernels as TurboBCBatched, column gathers in
+      // the single batched device's edge order, the directed scatter on the
+      // device-order ring — bit-identical.
+      exchange_dependencies(
+          topo_, plan_, directed_, kb, delta_u, delta_ut, xb,
+          [&](int k, const auto& x, auto& y) {
+            const auto& csc = *shards_[static_cast<std::size_t>(k)].csc;
+            directed_ ? spmv::dep_spmm_sccsc_scatter(topo_.device(k), csc, kb,
+                                                     x, y)
+                      : spmv::dep_spmm_sccsc(topo_.device(k), csc, kb, x, y);
+          });
       for (int k = 0; k < k_devices; ++k) {
         const auto kk = static_cast<std::size_t>(k);
-        sim::launch_scalar(
-            topo_.device(k), "dep_update_batched",
-            static_cast<std::uint64_t>(shards_[kk].n_local()),
-            [&](sim::ThreadCtx& t) {
-              const auto v = static_cast<std::size_t>(t.global_id());
-              for (std::size_t j = 0; j < kb; ++j) {
-                t.count_ops(1);
-                if (S[kk].load(t, slot(v, j)) == d - 1) {
-                  const bc_t du = delta_ut[kk].load(t, slot(v, j));
-                  if (du != 0.0) {
-                    const T sg = sigma[kk].load(t, slot(v, j));
-                    delta[kk].store(t, slot(v, j),
-                                    delta[kk].load(t, slot(v, j)) +
-                                        du * static_cast<bc_t>(sg));
-                  }
-                }
-              }
-            });
+        bc::dep_update(topo_.device(k), shards_[kk].n_local(), d, S[kk],
+                       sigma[kk], delta_ut[kk], delta[kk], kb);
       }
     }
 
@@ -1034,26 +741,9 @@ DistResult DistTurboBC::run_partitioned_batched(
     const bc_t scale = directed_ ? 1.0 : 0.5;
     for (int k = 0; k < k_devices; ++k) {
       const auto kk = static_cast<std::size_t>(k);
-      const vidx_t col_begin = plan_.col_begin(k);
-      sim::launch_scalar(
-          topo_.device(k), "bc_accum_batched",
-          static_cast<std::uint64_t>(shards_[kk].n_local()),
-          [&](sim::ThreadCtx& t) {
-            const auto i = static_cast<std::size_t>(t.global_id());
-            const vidx_t v = col_begin + static_cast<vidx_t>(i);
-            bc_t acc = bck[kk].load(t, i);
-            bool touched = false;
-            for (std::size_t j = 0; j < kb; ++j) {
-              if (v == batch[j]) continue;
-              const bc_t dl = delta[kk].load(t, slot(i, j));
-              if (dl != 0.0) {
-                acc += dl * scale;
-                touched = true;
-              }
-              t.count_ops(1);
-            }
-            if (touched) bck[kk].store(t, i, acc);
-          });
+      bc::bc_accum_batched(topo_.device(k), shards_[kk].n_local(),
+                           plan_.col_begin(k), batch, scale, delta[kk],
+                           bck[kk]);
     }
 
     bc::SourceStats stats;
@@ -1076,31 +766,17 @@ DistResult DistTurboBC::run_partitioned_batched(
   };
 
   const auto kb = static_cast<std::size_t>(options_.batch_size);
+  bc::SourceStats last;
   for (std::size_t begin = 0; begin < sources.size(); begin += kb) {
     const std::size_t end = std::min(sources.size(), begin + kb);
-    result.last_source = run_block(std::vector<vidx_t>(
+    last = run_block(std::vector<vidx_t>(
         sources.begin() + static_cast<std::ptrdiff_t>(begin),
         sources.begin() + static_cast<std::ptrdiff_t>(end)));
   }
-
-  result.bc.assign(nn, 0.0);
-  for (int k = 0; k < k_devices; ++k) {
-    const auto& slice = bck[static_cast<std::size_t>(k)].host();
-    std::copy(slice.begin(), slice.end(),
-              result.bc.begin() + plan_.col_begin(k));
-  }
-  result.sources = static_cast<vidx_t>(sources.size());
-  result.shards.resize(static_cast<std::size_t>(k_devices));
-  for (int k = 0; k < k_devices; ++k) {
-    const auto kk = static_cast<std::size_t>(k);
-    ShardInfo& si = result.shards[kk];
-    si.variant = shards_[kk].variant;
-    si.col_begin = shards_[kk].col_begin;
-    si.col_end = shards_[kk].col_end;
-    si.arcs = shards_[kk].csc->m();
-  }
-  finish_accounting(topo_, base, result);
-  return result;
+  return res.finish(base, sources.size(), last,
+                    [&](int k) -> const std::vector<bc_t>& {
+                      return bck[static_cast<std::size_t>(k)].host();
+                    });
 }
 
 }  // namespace turbobc::dist

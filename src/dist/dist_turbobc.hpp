@@ -148,6 +148,8 @@ class DistTurboBC {
     vidx_t n_local() const noexcept { return col_end - col_begin; }
   };
 
+  struct Partitioned;  // level-driver residency (dist_turbobc.cpp)
+
   DistResult run_impl(const std::vector<vidx_t>& sources,
                       const std::vector<double>* weights,
                       bc::TurboBC::MomentResult* moments);

@@ -95,76 +95,6 @@ void spmv_forward_sccooc(sim::Device& device, const DeviceCooc& g,
       });
 }
 
-template <typename G, typename T, typename M>
-void spmv_forward_sccsc(sim::Device& device, const G& g,
-                        const sim::DeviceBuffer<T>& x,
-                        sim::DeviceBuffer<T>& y,
-                        const sim::DeviceBuffer<M>& sigma,
-                        vidx_t col_base = 0) {
-  sim::launch_scalar(
-      device, storage_kernel_name<G>("bfs_spmv_sccsc", "bfs_spmv_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
-        const auto i = static_cast<std::size_t>(t.global_id());
-        const auto gi = static_cast<std::size_t>(col_base) + i;
-        if (sigma.load(t, gi) != 0) return;
-        const dptr_t begin = g.col_ptr().load(t, i);
-        const dptr_t end = g.col_ptr().load(t, i + 1);
-        typename G::Cursor rows(g, t, i, begin);
-        T sum = 0;
-        for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = rows.next();
-          sum += x.load(t, static_cast<std::size_t>(row));
-          t.count_ops(1);
-        }
-        if (sum > 0) y.store(t, gi, sum);
-      });
-}
-
-template <typename T, typename M>
-void spmv_forward_vecsc(sim::Device& device, const DeviceCsc& g,
-                        const sim::DeviceBuffer<T>& x,
-                        sim::DeviceBuffer<T>& y,
-                        const sim::DeviceBuffer<M>& sigma) {
-  const vidx_t n = g.n();
-  sim::launch_warp(
-      device, "bfs_spmv_vecsc", vecsc_grid_warps(device, n),
-      [&](sim::WarpCtx& w) {
-        for (auto col = static_cast<vidx_t>(w.warp_id()); col < n;
-             col = static_cast<vidx_t>(col + w.num_warps())) {
-          if (w.broadcast_load(sigma, static_cast<std::size_t>(col)) != 0) {
-            continue;
-          }
-          const dptr_t begin =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col));
-          const dptr_t end =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col) + 1);
-          std::array<T, sim::kWarpSize> sum{};
-          for (dptr_t base = begin; base < end; base += sim::kWarpSize) {
-            std::uint32_t mask = 0;
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if (base + lane < end) mask |= 1u << lane;
-            }
-            const auto rows = w.gather(g.row_idx(), mask, [&](int lane) {
-              return static_cast<std::size_t>(base + lane);
-            });
-            const auto vals = w.gather(x, mask, [&](int lane) {
-              return static_cast<std::size_t>(rows[lane]);
-            });
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if ((mask >> lane) & 1u) sum[lane] += vals[lane];
-            }
-            w.count_ops(1);
-          }
-          const T total = w.reduce_add(sum);
-          if (total > 0) {
-            w.scatter(y, 0x1u,
-                      [&](int) { return static_cast<std::size_t>(col); },
-                      [&](int) { return total; });
-          }
-        }
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Pull (direction-optimizing) forward kernels.
 //
@@ -213,59 +143,74 @@ void frontier_to_bitmap(sim::Device& device, const sim::DeviceBuffer<T>& f,
       });
 }
 
-// A compressed column still decodes every varint of its gap chain when
-// pulled; the saving is skipping the frontier-value load on bitmap misses,
-// exactly as over the plain CSC.
-template <typename G, typename T, typename M>
-void spmv_forward_pull_sccsc(sim::Device& device, const G& g,
-                             const sim::DeviceBuffer<T>& x,
-                             const sim::DeviceBuffer<std::uint32_t>& bitmap,
-                             sim::DeviceBuffer<T>& y,
-                             const sim::DeviceBuffer<M>& sigma,
-                             vidx_t col_base = 0) {
+// ---------------------------------------------------------------------------
+// Column folds: the gather-form products, one body per thread layout.
+//
+// Column i folds x over its rows in edge order into y(col_base + i):
+//  * kMasked (the forward SpMV, y = A^T f where sigma == 0): the column is
+//    skipped when sigma(col_base + i) != 0, and only a positive sum is
+//    written;
+//  * unmasked (the backward gather, y(v) = sum over column v of x(row) —
+//    the out-neighbour sum only on symmetric, i.e. undirected, matrices):
+//    any nonzero sum is written;
+//  * kPull: each row first probes the n/32 bitmap and x is loaded only on a
+//    hit. The pulled backward gather probes a bitmap rebuilt from delta_u,
+//    which is nonzero only on the level-d frontier; delta_u >= 0 and
+//    x + 0.0 == x bitwise for non-negative x, so delta_ut is bit-identical
+//    to the unmasked sweep, exactly as f_t is in the forward pull.
+// ---------------------------------------------------------------------------
+
+/// Thread per column (scCSC, or the compressed image through G::Cursor).
+template <bool kMasked, bool kPull, typename G, typename T, typename M>
+void column_fold(sim::Device& device, std::string_view name, const G& g,
+                 const sim::DeviceBuffer<T>& x,
+                 const sim::DeviceBuffer<std::uint32_t>* bitmap,
+                 sim::DeviceBuffer<T>& y, const sim::DeviceBuffer<M>* sigma,
+                 vidx_t col_base) {
   sim::launch_scalar(
-      device,
-      storage_kernel_name<G>("bfs_spmv_pull_sccsc", "bfs_spmv_pull_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
+      device, name, static_cast<std::uint64_t>(g.n()),
+      [&](sim::ThreadCtx& t) {
         const auto i = static_cast<std::size_t>(t.global_id());
         const auto gi = static_cast<std::size_t>(col_base) + i;
-        if (sigma.load(t, gi) != 0) return;
+        if constexpr (kMasked) {
+          if (sigma->load(t, gi) != 0) return;
+        }
         const dptr_t begin = g.col_ptr().load(t, i);
         const dptr_t end = g.col_ptr().load(t, i + 1);
         typename G::Cursor rows(g, t, i, begin);
         T sum = 0;
         for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = rows.next();
-          const std::uint32_t word =
-              bitmap.load(t, static_cast<std::size_t>(row) / 32);
+          const auto row = static_cast<std::size_t>(rows.next());
           t.count_ops(1);
-          if ((word >> (static_cast<std::uint32_t>(row) & 31u)) & 1u) {
-            sum += x.load(t, static_cast<std::size_t>(row));
+          if constexpr (kPull) {
+            const std::uint32_t word = bitmap->load(t, row / 32);
+            if (((word >> (row & 31u)) & 1u) == 0) continue;
           }
+          sum += x.load(t, row);
         }
-        if (sum > 0) y.store(t, gi, sum);
+        if (kMasked ? sum > 0 : sum != 0) y.store(t, gi, sum);
       });
 }
 
-template <typename T, typename M>
-void spmv_forward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
-                             const sim::DeviceBuffer<T>& x,
-                             const sim::DeviceBuffer<std::uint32_t>& bitmap,
-                             sim::DeviceBuffer<T>& y,
-                             const sim::DeviceBuffer<M>& sigma) {
+/// Warp per column (veCSC, Algorithm 4): lanes stride the column, a shuffle
+/// reduction combines lane sums, lane 0 writes. Grid-stride over columns.
+template <bool kMasked, bool kPull, typename T, typename M>
+void warp_column_fold(sim::Device& device, std::string_view name,
+                      const DeviceCsc& g, const sim::DeviceBuffer<T>& x,
+                      const sim::DeviceBuffer<std::uint32_t>* bitmap,
+                      sim::DeviceBuffer<T>& y,
+                      const sim::DeviceBuffer<M>* sigma) {
   const vidx_t n = g.n();
   sim::launch_warp(
-      device, "bfs_spmv_pull_vecsc", vecsc_grid_warps(device, n),
-      [&](sim::WarpCtx& w) {
+      device, name, vecsc_grid_warps(device, n), [&](sim::WarpCtx& w) {
         for (auto col = static_cast<vidx_t>(w.warp_id()); col < n;
              col = static_cast<vidx_t>(col + w.num_warps())) {
-          if (w.broadcast_load(sigma, static_cast<std::size_t>(col)) != 0) {
-            continue;
+          const auto c = static_cast<std::size_t>(col);
+          if constexpr (kMasked) {
+            if (w.broadcast_load(*sigma, c) != 0) continue;
           }
-          const dptr_t begin =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col));
-          const dptr_t end =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col) + 1);
+          const dptr_t begin = w.broadcast_load(g.col_ptr(), c);
+          const dptr_t end = w.broadcast_load(g.col_ptr(), c + 1);
           std::array<T, sim::kWarpSize> sum{};
           for (dptr_t base = begin; base < end; base += sim::kWarpSize) {
             std::uint32_t mask = 0;
@@ -275,17 +220,21 @@ void spmv_forward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
             const auto rows = w.gather(g.row_idx(), mask, [&](int lane) {
               return static_cast<std::size_t>(base + lane);
             });
-            const auto words = w.gather(bitmap, mask, [&](int lane) {
-              return static_cast<std::size_t>(rows[lane]) / 32;
-            });
-            // Frontier-lane mask: only lanes whose row's bit is set load x.
-            std::uint32_t fmask = 0;
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if (((mask >> lane) & 1u) != 0 &&
-                  ((words[lane] >>
-                    (static_cast<std::uint32_t>(rows[lane]) & 31u)) &
-                   1u) != 0) {
-                fmask |= 1u << lane;
+            // Frontier-lane mask: under kPull only lanes whose row's bit is
+            // set load x.
+            std::uint32_t fmask = mask;
+            if constexpr (kPull) {
+              const auto words = w.gather(*bitmap, mask, [&](int lane) {
+                return static_cast<std::size_t>(rows[lane]) / 32;
+              });
+              fmask = 0;
+              for (int lane = 0; lane < sim::kWarpSize; ++lane) {
+                if (((mask >> lane) & 1u) != 0 &&
+                    ((words[lane] >>
+                      (static_cast<std::uint32_t>(rows[lane]) & 31u)) &
+                     1u) != 0) {
+                  fmask |= 1u << lane;
+                }
               }
             }
             const auto vals = w.gather(x, fmask, [&](int lane) {
@@ -297,13 +246,95 @@ void spmv_forward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
             w.count_ops(1);
           }
           const T total = w.reduce_add(sum);
-          if (total > 0) {
-            w.scatter(y, 0x1u,
-                      [&](int) { return static_cast<std::size_t>(col); },
+          if (kMasked ? total > 0 : total != 0) {
+            w.scatter(y, 0x1u, [&](int) { return c; },
                       [&](int) { return total; });
           }
         }
       });
+}
+
+// The eight named products over the two folds. `y` must be zeroed
+// beforehand. The SpMV kernels take an optional `col_base` (see the file
+// comment); a compressed column still decodes every varint of its gap chain
+// when pulled — the saving is skipping the value load on bitmap misses.
+
+template <typename G, typename T, typename M>
+void spmv_forward_sccsc(sim::Device& device, const G& g,
+                        const sim::DeviceBuffer<T>& x, sim::DeviceBuffer<T>& y,
+                        const sim::DeviceBuffer<M>& sigma,
+                        vidx_t col_base = 0) {
+  column_fold<true, false>(
+      device, storage_kernel_name<G>("bfs_spmv_sccsc", "bfs_spmv_ccsc"), g, x,
+      nullptr, y, &sigma, col_base);
+}
+
+template <typename G, typename T, typename M>
+void spmv_forward_pull_sccsc(sim::Device& device, const G& g,
+                             const sim::DeviceBuffer<T>& x,
+                             const sim::DeviceBuffer<std::uint32_t>& bitmap,
+                             sim::DeviceBuffer<T>& y,
+                             const sim::DeviceBuffer<M>& sigma,
+                             vidx_t col_base = 0) {
+  column_fold<true, true>(
+      device,
+      storage_kernel_name<G>("bfs_spmv_pull_sccsc", "bfs_spmv_pull_ccsc"), g,
+      x, &bitmap, y, &sigma, col_base);
+}
+
+template <typename G, typename T>
+void spmv_backward_gather_sccsc(sim::Device& device, const G& g,
+                                const sim::DeviceBuffer<T>& x,
+                                sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
+  column_fold<false, false, G, T, T>(
+      device, storage_kernel_name<G>("dep_spmv_sccsc", "dep_spmv_ccsc"), g, x,
+      nullptr, y, nullptr, col_base);
+}
+
+template <typename G, typename T>
+void spmv_backward_pull_sccsc(sim::Device& device, const G& g,
+                              const sim::DeviceBuffer<T>& x,
+                              const sim::DeviceBuffer<std::uint32_t>& bitmap,
+                              sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
+  column_fold<false, true, G, T, T>(
+      device,
+      storage_kernel_name<G>("dep_spmv_pull_sccsc", "dep_spmv_pull_ccsc"), g,
+      x, &bitmap, y, nullptr, col_base);
+}
+
+template <typename T, typename M>
+void spmv_forward_vecsc(sim::Device& device, const DeviceCsc& g,
+                        const sim::DeviceBuffer<T>& x, sim::DeviceBuffer<T>& y,
+                        const sim::DeviceBuffer<M>& sigma) {
+  warp_column_fold<true, false>(device, "bfs_spmv_vecsc", g, x, nullptr, y,
+                                &sigma);
+}
+
+template <typename T, typename M>
+void spmv_forward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
+                             const sim::DeviceBuffer<T>& x,
+                             const sim::DeviceBuffer<std::uint32_t>& bitmap,
+                             sim::DeviceBuffer<T>& y,
+                             const sim::DeviceBuffer<M>& sigma) {
+  warp_column_fold<true, true>(device, "bfs_spmv_pull_vecsc", g, x, &bitmap,
+                               y, &sigma);
+}
+
+template <typename T>
+void spmv_backward_gather_vecsc(sim::Device& device, const DeviceCsc& g,
+                                const sim::DeviceBuffer<T>& x,
+                                sim::DeviceBuffer<T>& y) {
+  warp_column_fold<false, false, T, T>(device, "dep_spmv_vecsc", g, x,
+                                       nullptr, y, nullptr);
+}
+
+template <typename T>
+void spmv_backward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
+                              const sim::DeviceBuffer<T>& x,
+                              const sim::DeviceBuffer<std::uint32_t>& bitmap,
+                              sim::DeviceBuffer<T>& y) {
+  warp_column_fold<false, true, T, T>(device, "dep_spmv_pull_vecsc", g, x,
+                                      &bitmap, y, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,8 +415,12 @@ inline void msbfs_column_commit(
   }
 }
 
-/// Push MS-BFS level: one thread per column v, serial scan of v's in-edges;
+/// One MS-BFS level: one thread per column v, serial scan of v's in-edges;
 /// every edge costs one 8-byte mask load + one word op for all k sources.
+/// kPull first probes the any-lane frontier bitmap (4-byte word,
+/// L2-resident) and touches the mask + values only on a hit — the
+/// direction-optimized form for levels where most in-neighbours are off
+/// every lane's frontier.
 ///
 /// The frontier operands are arguments: the mask word F (bit j of F(row)
 /// iff row is on lane j's frontier) and the frontier values X (slot
@@ -395,18 +430,20 @@ inline void msbfs_column_commit(
 /// per-level all_gather, while V / Fn / sigma / S commit to the shard's
 /// local column slice; per-column edge order equals the single device's,
 /// so the committed sigma matrix is bit-identical shard by shard.
-template <typename G, typename T>
-void spmm_forward_msbfs_sccsc(
-    sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
-    const sim::DeviceBuffer<std::uint64_t>& F, const sim::DeviceBuffer<T>& X,
-    sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
-    sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
-    sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
+template <bool kPull, typename G, typename T>
+void msbfs_fold(sim::Device& device, std::string_view name, const G& g,
+                int k, std::uint64_t full, vidx_t depth,
+                const sim::DeviceBuffer<std::uint64_t>& F,
+                const sim::DeviceBuffer<T>& X,
+                const sim::DeviceBuffer<std::uint32_t>* bitmap,
+                sim::DeviceBuffer<std::uint64_t>& V,
+                sim::DeviceBuffer<std::uint64_t>& Fn,
+                sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
+                sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
   const auto kk = static_cast<std::size_t>(k);
   sim::launch_scalar(
-      device,
-      storage_kernel_name<G>("bfs_spmm_msbfs_sccsc", "bfs_spmm_msbfs_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
+      device, name, static_cast<std::uint64_t>(g.n()),
+      [&](sim::ThreadCtx& t) {
         const auto v = static_cast<std::size_t>(t.global_id());
         const std::uint64_t vis = V.load(t, v);
         t.count_word_ops(1);
@@ -417,16 +454,19 @@ void spmm_forward_msbfs_sccsc(
         T sums[64] = {};
         std::uint64_t m = 0;
         for (dptr_t e = begin; e < end; ++e) {
-          const vidx_t row = rows.next();
-          const std::uint64_t w =
-              F.load(t, static_cast<std::size_t>(row)) & ~vis;
+          const auto row = static_cast<std::size_t>(rows.next());
+          if constexpr (kPull) {
+            const std::uint32_t word = bitmap->load(t, row / 32);
+            t.count_ops(1);
+            if (((word >> (row & 31u)) & 1u) == 0) continue;
+          }
+          const std::uint64_t w = F.load(t, row) & ~vis;
           t.count_word_ops(1);
           if (w == 0) continue;
           m |= w;
           for (std::uint64_t bits = w; bits != 0; bits &= bits - 1) {
-            const auto j = static_cast<std::size_t>(
-                std::countr_zero(bits));
-            sums[j] += X.load(t, static_cast<std::size_t>(row) * kk + j);
+            const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+            sums[j] += X.load(t, row * kk + j);
           }
         }
         msbfs_column_commit(t, v, k, depth, V, Fn, sigma, S, cflags,
@@ -436,10 +476,19 @@ void spmm_forward_msbfs_sccsc(
       });
 }
 
-/// Pull MS-BFS level: identical fold, but each edge first probes the
-/// any-lane frontier bitmap (4-byte word, L2-resident) and touches the
-/// 8-byte mask + sigma values only on a hit — the direction-optimized form
-/// for levels where most in-neighbours are off every lane's frontier.
+template <typename G, typename T>
+void spmm_forward_msbfs_sccsc(
+    sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
+    const sim::DeviceBuffer<std::uint64_t>& F, const sim::DeviceBuffer<T>& X,
+    sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
+    sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
+    sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
+  msbfs_fold<false>(
+      device,
+      storage_kernel_name<G>("bfs_spmm_msbfs_sccsc", "bfs_spmm_msbfs_ccsc"), g,
+      k, full, depth, F, X, nullptr, V, Fn, sigma, S, cflags, count_degrees);
+}
+
 template <typename G, typename T>
 void spmm_forward_msbfs_pull_sccsc(
     sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
@@ -448,46 +497,11 @@ void spmm_forward_msbfs_pull_sccsc(
     sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
     sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
     sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
-  const auto kk = static_cast<std::size_t>(k);
-  sim::launch_scalar(
-      device,
-      storage_kernel_name<G>("bfs_spmm_msbfs_pull_sccsc",
-                             "bfs_spmm_msbfs_pull_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
-        const auto v = static_cast<std::size_t>(t.global_id());
-        const std::uint64_t vis = V.load(t, v);
-        t.count_word_ops(1);
-        if ((vis & full) == full) return;
-        const dptr_t begin = g.col_ptr().load(t, v);
-        const dptr_t end = g.col_ptr().load(t, v + 1);
-        typename G::Cursor rows(g, t, v, begin);
-        T sums[64] = {};
-        std::uint64_t m = 0;
-        for (dptr_t e = begin; e < end; ++e) {
-          const vidx_t row = rows.next();
-          const std::uint32_t word =
-              bitmap.load(t, static_cast<std::size_t>(row) / 32);
-          t.count_ops(1);
-          if (((word >> (static_cast<std::uint32_t>(row) & 31u)) & 1u) == 0) {
-            continue;
-          }
-          const std::uint64_t w =
-              F.load(t, static_cast<std::size_t>(row)) & ~vis;
-          t.count_word_ops(1);
-          if (w == 0) continue;
-          m |= w;
-          for (std::uint64_t bits = w; bits != 0; bits &= bits - 1) {
-            const auto j = static_cast<std::size_t>(
-                std::countr_zero(bits));
-            sums[j] += sigma.load(
-                t, static_cast<std::size_t>(row) * kk + j);
-          }
-        }
-        msbfs_column_commit(t, v, k, depth, V, Fn, sigma, S, cflags,
-                            count_degrees,
-                            static_cast<std::uint64_t>(end - begin), vis, m,
-                            sums);
-      });
+  msbfs_fold<true>(device,
+                   storage_kernel_name<G>("bfs_spmm_msbfs_pull_sccsc",
+                                          "bfs_spmm_msbfs_pull_ccsc"),
+                   g, k, full, depth, F, sigma, &bitmap, V, Fn, sigma, S,
+                   cflags, count_degrees);
 }
 
 // ---------------------------------------------------------------------------
@@ -556,72 +570,8 @@ void dep_spmm_sccsc_scatter(sim::Device& device, const G& g, std::size_t k,
 }
 
 // ---------------------------------------------------------------------------
-// Backward (unmasked) kernels.
-// Gather form: y(v) += sum over column v of x(row). Correct out-neighbour
-// sum only when the matrix is symmetric (undirected graphs).
+// Edge-parallel backward gather (scCOOC); the column-fold forms are above.
 // ---------------------------------------------------------------------------
-
-template <typename G, typename T>
-void spmv_backward_gather_sccsc(sim::Device& device, const G& g,
-                                const sim::DeviceBuffer<T>& x,
-                                sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
-  sim::launch_scalar(
-      device, storage_kernel_name<G>("dep_spmv_sccsc", "dep_spmv_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
-        const auto i = static_cast<std::size_t>(t.global_id());
-        const dptr_t begin = g.col_ptr().load(t, i);
-        const dptr_t end = g.col_ptr().load(t, i + 1);
-        typename G::Cursor rows(g, t, i, begin);
-        T sum = 0;
-        for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = rows.next();
-          sum += x.load(t, static_cast<std::size_t>(row));
-          t.count_ops(1);
-        }
-        if (sum != 0) y.store(t, static_cast<std::size_t>(col_base) + i, sum);
-      });
-}
-
-template <typename T>
-void spmv_backward_gather_vecsc(sim::Device& device, const DeviceCsc& g,
-                                const sim::DeviceBuffer<T>& x,
-                                sim::DeviceBuffer<T>& y) {
-  const vidx_t n = g.n();
-  sim::launch_warp(
-      device, "dep_spmv_vecsc", vecsc_grid_warps(device, n),
-      [&](sim::WarpCtx& w) {
-        for (auto col = static_cast<vidx_t>(w.warp_id()); col < n;
-             col = static_cast<vidx_t>(col + w.num_warps())) {
-          const dptr_t begin =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col));
-          const dptr_t end =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col) + 1);
-          std::array<T, sim::kWarpSize> sum{};
-          for (dptr_t base = begin; base < end; base += sim::kWarpSize) {
-            std::uint32_t mask = 0;
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if (base + lane < end) mask |= 1u << lane;
-            }
-            const auto rows = w.gather(g.row_idx(), mask, [&](int lane) {
-              return static_cast<std::size_t>(base + lane);
-            });
-            const auto vals = w.gather(x, mask, [&](int lane) {
-              return static_cast<std::size_t>(rows[lane]);
-            });
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if ((mask >> lane) & 1u) sum[lane] += vals[lane];
-            }
-            w.count_ops(1);
-          }
-          const T total = w.reduce_add(sum);
-          if (total != 0) {
-            w.scatter(y, 0x1u,
-                      [&](int) { return static_cast<std::size_t>(col); },
-                      [&](int) { return total; });
-          }
-        }
-      });
-}
 
 template <typename T>
 void spmv_backward_gather_sccooc(sim::Device& device, const DeviceCooc& g,
@@ -637,97 +587,6 @@ void spmv_backward_gather_sccooc(sim::Device& device, const DeviceCooc& g,
         if (xv != 0) {
           const vidx_t col = g.col_idx().load(t, k);
           y.atomic_add(t, static_cast<std::size_t>(col), xv);
-        }
-      });
-}
-
-// ---------------------------------------------------------------------------
-// Pulled backward gather: the dependency-stage twin of the pull forward
-// kernels. delta_u is nonzero only on the level-d frontier, so each column
-// probes the same n/32 dense bitmap (bit v iff delta_u(v) != 0, rebuilt per
-// level with frontier_to_bitmap) before loading the 4/8-byte value. The fold
-// skips only exact +0 terms in the same edge order as the unmasked gather —
-// delta_u >= 0, and x + 0.0 == x bitwise for non-negative x, so delta_ut is
-// bit-identical to the push (unmasked) backward sweep.
-// ---------------------------------------------------------------------------
-
-template <typename G, typename T>
-void spmv_backward_pull_sccsc(sim::Device& device, const G& g,
-                              const sim::DeviceBuffer<T>& x,
-                              const sim::DeviceBuffer<std::uint32_t>& bitmap,
-                              sim::DeviceBuffer<T>& y, vidx_t col_base = 0) {
-  sim::launch_scalar(
-      device,
-      storage_kernel_name<G>("dep_spmv_pull_sccsc", "dep_spmv_pull_ccsc"),
-      static_cast<std::uint64_t>(g.n()), [&](sim::ThreadCtx& t) {
-        const auto i = static_cast<std::size_t>(t.global_id());
-        const dptr_t begin = g.col_ptr().load(t, i);
-        const dptr_t end = g.col_ptr().load(t, i + 1);
-        typename G::Cursor rows(g, t, i, begin);
-        T sum = 0;
-        for (dptr_t k = begin; k < end; ++k) {
-          const vidx_t row = rows.next();
-          const std::uint32_t word =
-              bitmap.load(t, static_cast<std::size_t>(row) / 32);
-          t.count_ops(1);
-          if ((word >> (static_cast<std::uint32_t>(row) & 31u)) & 1u) {
-            sum += x.load(t, static_cast<std::size_t>(row));
-          }
-        }
-        if (sum != 0) y.store(t, static_cast<std::size_t>(col_base) + i, sum);
-      });
-}
-
-template <typename T>
-void spmv_backward_pull_vecsc(sim::Device& device, const DeviceCsc& g,
-                              const sim::DeviceBuffer<T>& x,
-                              const sim::DeviceBuffer<std::uint32_t>& bitmap,
-                              sim::DeviceBuffer<T>& y) {
-  const vidx_t n = g.n();
-  sim::launch_warp(
-      device, "dep_spmv_pull_vecsc", vecsc_grid_warps(device, n),
-      [&](sim::WarpCtx& w) {
-        for (auto col = static_cast<vidx_t>(w.warp_id()); col < n;
-             col = static_cast<vidx_t>(col + w.num_warps())) {
-          const dptr_t begin =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col));
-          const dptr_t end =
-              w.broadcast_load(g.col_ptr(), static_cast<std::size_t>(col) + 1);
-          std::array<T, sim::kWarpSize> sum{};
-          for (dptr_t base = begin; base < end; base += sim::kWarpSize) {
-            std::uint32_t mask = 0;
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if (base + lane < end) mask |= 1u << lane;
-            }
-            const auto rows = w.gather(g.row_idx(), mask, [&](int lane) {
-              return static_cast<std::size_t>(base + lane);
-            });
-            const auto words = w.gather(bitmap, mask, [&](int lane) {
-              return static_cast<std::size_t>(rows[lane]) / 32;
-            });
-            std::uint32_t fmask = 0;
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if (((mask >> lane) & 1u) != 0 &&
-                  ((words[lane] >>
-                    (static_cast<std::uint32_t>(rows[lane]) & 31u)) &
-                   1u) != 0) {
-                fmask |= 1u << lane;
-              }
-            }
-            const auto vals = w.gather(x, fmask, [&](int lane) {
-              return static_cast<std::size_t>(rows[lane]);
-            });
-            for (int lane = 0; lane < sim::kWarpSize; ++lane) {
-              if ((fmask >> lane) & 1u) sum[lane] += vals[lane];
-            }
-            w.count_ops(1);
-          }
-          const T total = w.reduce_add(sum);
-          if (total != 0) {
-            w.scatter(y, 0x1u,
-                      [&](int) { return static_cast<std::size_t>(col); },
-                      [&](int) { return total; });
-          }
         }
       });
 }

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -208,5 +209,36 @@ void with_columns(const spmv::DeviceCsc* csc, const DeviceCompressedCsc* ccsc,
     fn(*csc);
   }
 }
+
+/// Exactly one sparse format resident on one device (paper Section 3.4).
+struct ResidentGraph {
+  std::optional<spmv::DeviceCsc> csc;
+  std::optional<spmv::DeviceCooc> cooc;
+  std::optional<DeviceCompressedCsc> ccsc;
+
+  /// Upload the compressed image under `compress`, else COOC or CSC.
+  void upload(sim::Device& device, const graph::EdgeList& canon,
+              bool use_cooc, bool compress) {
+    if (compress) {
+      ccsc.emplace(device, encode_csc(graph::CscGraph::from_edges(canon)));
+    } else if (use_cooc) {
+      cooc.emplace(device, graph::CoocGraph::from_edges(canon));
+    } else {
+      csc.emplace(device, graph::CscGraph::from_edges(canon));
+    }
+  }
+
+  /// Copy another device's image onto `device` (the source fan-out's
+  /// per-block replicas).
+  void replicate(sim::Device& device, const ResidentGraph& other) {
+    if (other.ccsc) {
+      ccsc.emplace(device, *other.ccsc);
+    } else if (other.cooc) {
+      cooc.emplace(device, *other.cooc);
+    } else {
+      csc.emplace(device, *other.csc);
+    }
+  }
+};
 
 }  // namespace turbobc::storage

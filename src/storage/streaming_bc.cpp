@@ -1,10 +1,7 @@
 #include "storage/streaming_bc.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "gpusim/kernel.hpp"
-#include "spmv/spmv_kernels.hpp"
+#include "core/level_driver.hpp"
 
 namespace turbobc::storage {
 
@@ -85,130 +82,59 @@ const DeviceCompressedCsc& StreamingTurboBC::resident(std::size_t k) {
   return *window_[k];
 }
 
+/// The streamed residency of the level driver: one device, the graph in
+/// host-side column shards. Every product is one launch per shard in
+/// ascending column order through the LRU window (resident(k)), the shard's
+/// columns shifted onto the full-length vectors by col_base. Push-only.
+struct StreamingTurboBC::Streamed {
+  static constexpr bool kPull = false;
+  static constexpr bool kPullBackward = false;
+  static constexpr bool kExchange = false;
+
+  StreamingTurboBC& engine;
+
+  int parts() const { return 1; }
+  sim::Device& device(int) const { return engine.device_; }
+  vidx_t n_local(int) const { return engine.n_; }
+  vidx_t col_begin(int) const { return 0; }
+  int owner(vidx_t) const { return 0; }
+  bool mask_in_update(int) const { return false; }
+
+  template <typename T>
+  void forward_product(int, bool, const sim::DeviceBuffer<T>& x,
+                       const sim::DeviceBuffer<std::uint32_t>*,
+                       sim::DeviceBuffer<T>& y,
+                       const sim::DeviceBuffer<T>& sigma) const {
+    for (std::size_t k = 0; k < engine.shards_.size(); ++k) {
+      spmv::spmv_forward_sccsc(engine.device_, engine.resident(k), x, y,
+                               sigma, engine.shards_[k].col_begin);
+    }
+  }
+
+  void backward_product(bool, bc::PerPart<bc_t>& delta_u,
+                        bc::PerPart<bc_t>& delta_ut, bc::PerPart<bc_t>&,
+                        bc::PerPart<std::uint32_t>&) const {
+    delta_ut[0].device_fill(0.0);
+    for (std::size_t k = 0; k < engine.shards_.size(); ++k) {
+      sim::Device& dev = engine.device_;
+      const vidx_t cb = engine.shards_[k].col_begin;
+      engine.directed_
+          ? spmv::spmv_backward_scatter_sccsc(dev, engine.resident(k),
+                                              delta_u[0], delta_ut[0], cb)
+          : spmv::spmv_backward_gather_sccsc(dev, engine.resident(k),
+                                             delta_u[0], delta_ut[0], cb);
+    }
+  }
+};
+
 bc::SourceStats StreamingTurboBC::run_source(vidx_t source,
                                              sim::DeviceBuffer<bc_t>& bc_dev) {
-  using T = sigma_t;
   TBC_CHECK(source >= 0 && source < n_, "BC source vertex out of range");
-  sim::Device& dev = device_;
-  const auto n = static_cast<std::size_t>(n_);
-
-  // The per-source pipeline of TurboBC::run_source_on, push advance, with
-  // every graph sweep broken into ascending-column shard launches.
-  sim::DeviceBuffer<std::int32_t> S(dev, n, "S");
-  sim::DeviceBuffer<T> sigma(dev, n, "sigma", 4);
-  sigma.set_modeled_integer(true);
-  S.device_fill(0);
-  sigma.device_fill(0);
-
-  vidx_t height = 0;
-  {
-    sim::DeviceBuffer<T> f(dev, n, "f", 4);
-    sim::DeviceBuffer<T> ft(dev, n, "f_t", 4);
-    f.set_modeled_integer(true);
-    ft.set_modeled_integer(true);
-    sim::DeviceBuffer<std::int32_t> cflag(dev, 1, "c");
-    f.device_fill(0);
-
-    sim::launch_scalar(dev, "bfs_init", 1, [&](sim::ThreadCtx& t) {
-      f.store(t, static_cast<std::size_t>(source), T{1});
-      sigma.store(t, static_cast<std::size_t>(source), T{1});
-    });
-
-    vidx_t d = 0;
-    while (true) {
-      ++d;
-      ft.device_fill(T{0});
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        spmv::spmv_forward_sccsc(dev, resident(k), f, ft, sigma,
-                                 shards_[k].col_begin);
-      }
-      cflag.device_fill(0);
-      sim::launch_scalar(dev, "bfs_update", static_cast<std::uint64_t>(n_),
-                         [&](sim::ThreadCtx& t) {
-                           const auto i =
-                               static_cast<std::size_t>(t.global_id());
-                           const T v = ft.load(t, i);
-                           t.count_ops(1);
-                           f.store(t, i, v);
-                           if (v != 0) {
-                             S.store(t, i, d);
-                             sigma.store(t, i,
-                                         static_cast<T>(sigma.load(t, i) + v));
-                             cflag.store(t, 0, 1);
-                           }
-                         });
-      const auto c_host = cflag.copy_to_host();
-      if (c_host[0] == 0) break;
-    }
-    height = d - 1;
-  }
-
-  sim::DeviceBuffer<bc_t> delta(dev, n, "delta", 4);
-  sim::DeviceBuffer<bc_t> delta_u(dev, n, "delta_u", 4);
-  sim::DeviceBuffer<bc_t> delta_ut(dev, n, "delta_ut", 4);
-  delta.device_fill(0.0);
-
-  for (vidx_t d = height; d >= 2; --d) {
-    sim::launch_scalar(dev, "dep_prepare", static_cast<std::uint64_t>(n_),
-                       [&](sim::ThreadCtx& t) {
-                         const auto i = static_cast<std::size_t>(t.global_id());
-                         bc_t out = 0.0;
-                         if (S.load(t, i) == d) {
-                           const T sg = sigma.load(t, i);
-                           if (sg > 0) {
-                             out = (1.0 + delta.load(t, i)) /
-                                   static_cast<bc_t>(sg);
-                           }
-                         }
-                         delta_u.store(t, i, out);
-                         t.count_ops(1);
-                       });
-    delta_ut.device_fill(0.0);
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      if (!directed_) {
-        spmv::spmv_backward_gather_sccsc(dev, resident(k), delta_u, delta_ut,
-                                         shards_[k].col_begin);
-      } else {
-        spmv::spmv_backward_scatter_sccsc(dev, resident(k), delta_u,
-                                          delta_ut, shards_[k].col_begin);
-      }
-    }
-    sim::launch_scalar(dev, "dep_update", static_cast<std::uint64_t>(n_),
-                       [&](sim::ThreadCtx& t) {
-                         const auto i = static_cast<std::size_t>(t.global_id());
-                         if (S.load(t, i) == d - 1) {
-                           const bc_t du = delta_ut.load(t, i);
-                           if (du != 0.0) {
-                             const T sg = sigma.load(t, i);
-                             delta.store(t, i,
-                                         delta.load(t, i) +
-                                             du * static_cast<bc_t>(sg));
-                           }
-                         }
-                         t.count_ops(1);
-                       });
-  }
-
-  const bc_t scale = directed_ ? 1.0 : 0.5;
-  sim::launch_scalar(dev, "bc_accum", static_cast<std::uint64_t>(n_),
-                     [&](sim::ThreadCtx& t) {
-                       const auto i = static_cast<std::size_t>(t.global_id());
-                       if (static_cast<vidx_t>(i) == source) return;
-                       const bc_t dl = delta.load(t, i);
-                       if (dl != 0.0) {
-                         bc_dev.store(t, i, bc_dev.load(t, i) + dl * scale);
-                       }
-                       t.count_ops(1);
-                     });
-
-  bc::SourceStats stats;
-  stats.bfs_depth = height;
-  vidx_t reached = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sigma.host()[i] != 0) ++reached;
-  }
-  stats.reached = reached;
-  return stats;
+  Streamed res{*this};
+  bc::LevelDriver<Streamed> driver(res, {n_, m_, directed_}, source);
+  driver.forward();
+  driver.backward(std::span(&bc_dev, 1));
+  return driver.stats();
 }
 
 bc::BcResult StreamingTurboBC::run_sources(

@@ -101,6 +101,8 @@ class StreamingTurboBC {
     bool uploaded_once = false;
   };
 
+  struct Streamed;  // level-driver residency (streaming_bc.cpp)
+
   /// Returns shard k's device image, fetching (and LRU-evicting) as needed.
   const DeviceCompressedCsc& resident(std::size_t k);
 

@@ -83,6 +83,28 @@ bc::Advance parse_advance(const CliArgs& args) {
   throw UsageError("unknown --advance '" + a + "' (expected push|pull|auto)");
 }
 
+/// --source, checked against the loaded graph: an out-of-range vertex is
+/// misuse (exit 2), not an engine check failure.
+vidx_t parse_source(const CliArgs& args, const graph::EdgeList& g) {
+  const std::int64_t s = args.get_int("source", 0);
+  if (s < 0 || s >= g.num_vertices()) {
+    throw UsageError("--source must be a vertex in [0, " +
+                     std::to_string(g.num_vertices()) + "), got " +
+                     std::to_string(s));
+  }
+  return static_cast<vidx_t>(s);
+}
+
+/// --batch: one MS-BFS block packs one source per bit of a 64-bit mask.
+vidx_t parse_batch(const CliArgs& args) {
+  const std::int64_t k = args.get_count("batch", 8);
+  if (k > 64) {
+    throw UsageError("--batch must be in [1, 64] (one source per mask bit), "
+                     "got " + std::to_string(k));
+  }
+  return static_cast<vidx_t>(k);
+}
+
 std::vector<vidx_t> top_order(const std::vector<bc_t>& bc, int k) {
   std::vector<vidx_t> order(bc.size());
   std::iota(order.begin(), order.end(), 0);
@@ -399,7 +421,7 @@ int cmd_bfs(const CliArgs& args, std::ostream& out, std::ostream& err) {
   }
   std::optional<storage::CompressedCsc> cgraph;
   const auto g = load_graph_maybe_compressed(args, 1, cgraph);
-  const auto source = static_cast<vidx_t>(args.get_int("source", 0));
+  const vidx_t source = parse_source(args, g);
   const bc::Variant variant = parse_variant(args, g);
   const bc::Advance advance = parse_advance(args);
 
@@ -439,6 +461,9 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
   const auto g = load_graph_maybe_compressed(args, 1, cgraph);
   bc::Variant variant = parse_variant(args, g);
   const bc::Advance advance = parse_advance(args);
+  const bool single_source = !args.has("exact") && !args.has("approx");
+  const vidx_t source = single_source ? parse_source(args, g) : 0;
+  const vidx_t batch = args.has("batch") ? parse_batch(args) : 0;
 
   const auto devices = static_cast<int>(args.get_count("devices", 1));
   const bool hybrid_mode = args.has("hybrid");
@@ -481,6 +506,11 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
     throw UsageError(
         "--compress does not support --edge-bc (the edge accumulator indexes "
         "arcs by raw nonzero position)");
+  }
+  if (args.has("exact") && batch > 0 && args.has("edge-bc")) {
+    throw UsageError(
+        "--batch does not support --edge-bc (the MS-BFS sweep accumulates "
+        "vertex BC only)");
   }
   if (compress && use_dist) {
     throw UsageError(
@@ -545,23 +575,20 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
           "whole arcs)");
     }
     sim::Topology topo(topology_props(args, devices));
-    const auto dist_batch =
-        args.has("batch") ? static_cast<vidx_t>(args.get_count("batch", 8))
-                          : 0;
     dist::DistTurboBC engine(topo, g,
                              {.strategy = *strategy,
                               .variant = variant,
                               .edge_bc = args.has("edge-bc"),
                               .advance = advance,
-                              .batch_size = dist_batch});
+                              .batch_size = batch});
     strategy_used = engine.strategy();
     // Report what runs: batched shards are pinned to the scCSC MS-BFS
     // kernels; otherwise the engine's demotion rule applies.
-    variant = dist_batch > 0
+    variant = batch > 0
                   ? bc::Variant::kScCsc
                   : bc::effective_variant(variant, advance, /*compress=*/false);
     const std::string batch_tag =
-        dist_batch > 0 ? ", batched x" + std::to_string(dist_batch) : "";
+        batch > 0 ? ", batched x" + std::to_string(batch) : "";
     if (args.has("exact")) {
       dres = engine.run_exact();
       mode = "exact" + batch_tag;
@@ -577,8 +604,7 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
       mode = "approximate (" + std::to_string(dres->sources) + " sources)" +
              batch_tag;
     } else {
-      dres = engine.run_single_source(
-          static_cast<vidx_t>(args.get_int("source", 0)));
+      dres = engine.run_single_source(source);
       mode = "single-source" + batch_tag;
     }
     r.bc = dres->bc;
@@ -607,8 +633,7 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
       mode = "approximate (" + std::to_string(r.sources) +
              " sources), streamed";
     } else {
-      r = streng.run_single_source(
-          static_cast<vidx_t>(args.get_int("source", 0)));
+      r = streng.run_single_source(source);
       mode = "single-source, streamed";
     }
     variant = bc::effective_variant(variant, advance, /*compress=*/true);
@@ -624,11 +649,9 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
       // the reported peak is the batched engine's own.
       bc::TurboBCBatched batched(
           *device, g,
-          {.batch_size = static_cast<vidx_t>(args.get_count("batch", 8)),
-           .advance = advance,
-           .compress = compress});
+          {.batch_size = batch, .advance = advance, .compress = compress});
       r = batched.run_exact();
-      mode = "exact, batched x" + std::to_string(args.get_count("batch", 8));
+      mode = "exact, batched x" + std::to_string(batch);
       variant = bc::Variant::kScCsc;  // the MS-BFS kernels are scCSC
     } else {
       bc::TurboBC turbo(*device, g,
@@ -646,8 +669,7 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
              .seed = static_cast<std::uint64_t>(args.get_int("seed", 1))});
         mode = "approximate (" + std::to_string(r.sources) + " sources)";
       } else {
-        r = turbo.run_single_source(
-            static_cast<vidx_t>(args.get_int("source", 0)));
+        r = turbo.run_single_source(source);
         mode = "single-source";
       }
     }
@@ -661,8 +683,7 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
     if (args.has("exact")) {
       golden = baseline::brandes_bc(g);
     } else if (!args.has("approx")) {
-      golden = baseline::brandes_delta(
-          g, static_cast<vidx_t>(args.get_int("source", 0)));
+      golden = baseline::brandes_delta(g, source);
     }
     if (!golden.empty()) {
       double worst = 0.0;
@@ -856,7 +877,7 @@ int cmd_approx(const CliArgs& args, std::ostream& out, std::ostream& err) {
   opt.engine = approx::parse_engine(args.get("engine", "scalar"));
   opt.variant = parse_variant(args, g);
   opt.advance = parse_advance(args);
-  opt.batch_size = static_cast<vidx_t>(args.get_count("batch", 8));
+  opt.batch_size = parse_batch(args);
   opt.max_sources = static_cast<vidx_t>(args.get_int("max-sources", 0));
   opt.initial_wave = static_cast<vidx_t>(args.get_int("initial-wave", 0));
   if (opt.epsilon <= 0.0) throw UsageError("--epsilon must be positive");

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "baselines/brandes.hpp"
 #include "common/error.hpp"
 #include "core/turbobfs.hpp"
@@ -11,14 +15,31 @@ namespace {
 
 using graph::EdgeList;
 
-class TurboBfsVariants : public ::testing::TestWithParam<Variant> {};
+/// One engine configuration: requested variant x frontier advance x
+/// storage (plain CSC/COOC or the delta-varint compressed CSC).
+struct BfsConfig {
+  Variant variant;
+  Advance advance;
+  bool compress;
+};
+
+void PrintTo(const BfsConfig& c, std::ostream* os) {
+  *os << to_string(c.variant) << '/' << to_string(c.advance) << '/'
+      << (c.compress ? "compressed" : "plain");
+}
+
+TurboBfs make_bfs(sim::Device& dev, const EdgeList& el, const BfsConfig& c) {
+  return TurboBfs(dev, el, c.variant, c.advance, {}, c.compress);
+}
+
+class TurboBfsVariants : public ::testing::TestWithParam<BfsConfig> {};
 
 TEST_P(TurboBfsVariants, DepthsMatchReferenceBfs) {
   for (const bool directed : {true, false}) {
     const auto el = gen::erdos_renyi({.n = 150, .arcs = 700,
                                       .directed = directed, .seed = 3});
     sim::Device dev;
-    TurboBfs bfs(dev, el, GetParam());
+    TurboBfs bfs = make_bfs(dev, el, GetParam());
     const auto r = bfs.run(2);
     const auto probe =
         graph::bfs_reference(graph::CscGraph::from_edges(el), 2);
@@ -31,7 +52,7 @@ TEST_P(TurboBfsVariants, DepthsMatchReferenceBfs) {
 TEST_P(TurboBfsVariants, SigmaMatchesBrandesPathCounts) {
   const auto el = gen::kronecker({.scale = 8, .edge_factor = 8, .seed = 4});
   sim::Device dev;
-  TurboBfs bfs(dev, el, GetParam());
+  TurboBfs bfs = make_bfs(dev, el, GetParam());
   const auto r = bfs.run(0);
   const auto golden = baseline::brandes_sigma(el, 0);
   ASSERT_EQ(r.sigma.size(), golden.size());
@@ -46,18 +67,33 @@ TEST_P(TurboBfsVariants, DisconnectedVerticesAreMinusOne) {
   el.add_edge(1, 2);
   el.symmetrize();
   sim::Device dev;
-  TurboBfs bfs(dev, el, GetParam());
+  TurboBfs bfs = make_bfs(dev, el, GetParam());
   const auto r = bfs.run(0);
   EXPECT_EQ(r.reached, 3);
   EXPECT_EQ(r.depth[4], kInvalidVertex);
   EXPECT_DOUBLE_EQ(r.sigma[4], 0.0);
 }
 
+std::vector<BfsConfig> bfs_configs() {
+  std::vector<BfsConfig> configs;
+  for (const Variant v :
+       {Variant::kScCooc, Variant::kScCsc, Variant::kVeCsc}) {
+    for (const Advance a : {Advance::kPush, Advance::kPull, Advance::kAuto}) {
+      for (const bool compress : {false, true}) {
+        configs.push_back({v, a, compress});
+      }
+    }
+  }
+  return configs;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, TurboBfsVariants,
-                         ::testing::Values(Variant::kScCooc, Variant::kScCsc,
-                                           Variant::kVeCsc),
+                         ::testing::ValuesIn(bfs_configs()),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           const BfsConfig& c = info.param;
+                           return std::string(to_string(c.variant)) + "_" +
+                                  std::string(to_string(c.advance)) + "_" +
+                                  (c.compress ? "compressed" : "plain");
                          });
 
 TEST(TurboBfs, SourceDepthIsZeroAndSigmaOne) {

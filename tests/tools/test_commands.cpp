@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "core/turbobc_batched.hpp"
@@ -94,6 +95,37 @@ TEST(Cli, ApproxValidatesFlagDomains) {
   EXPECT_EQ(delta.code, 2);
   const auto topk = run({"approx", path.c_str(), "--topk", "-3"});
   EXPECT_EQ(topk.code, 2);
+}
+
+// Out-of-range user input is a usage error (exit 2) on every path that
+// would otherwise reach an engine's internal range check.
+TEST(Cli, OutOfRangeSourceAndBatchAreUsageErrors) {
+  const std::string path = temp_mtx("cli_range.mtx");
+  ASSERT_EQ(run({"generate", "--family", "mycielski", "--order", "6",
+                 "--out", path.c_str()})
+                .code,
+            0);
+  const std::vector<std::vector<const char*>> misuse = {
+      {"bc", path.c_str(), "--source", "99"},
+      {"bc", path.c_str(), "--source", "-1"},
+      {"bfs", path.c_str(), "--source", "99"},
+      {"bc", path.c_str(), "--exact", "--batch", "65"},
+      {"approx", path.c_str(), "--engine", "batched", "--batch", "65"},
+      {"bc", path.c_str(), "--exact", "--devices", "2", "--dist",
+       "partition", "--batch", "65"},
+      {"bc", path.c_str(), "--exact", "--batch", "4", "--edge-bc"}};
+  for (const auto& argv : misuse) {
+    std::vector<const char*> v = {"turbobc_cli"};
+    v.insert(v.end(), argv.begin(), argv.end());
+    const CliArgs args(static_cast<int>(v.size()), v.data());
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << argv[0] << ' ' << argv[2];
+    EXPECT_EQ(err.str().find("failed check"), std::string::npos)
+        << err.str();
+  }
+  // The boundaries themselves are accepted.
+  EXPECT_EQ(run({"bc", path.c_str(), "--source", "46"}).code, 0);
+  EXPECT_EQ(run({"bc", path.c_str(), "--exact", "--batch", "64"}).code, 0);
 }
 
 TEST(Cli, GenerateRequiresOut) {

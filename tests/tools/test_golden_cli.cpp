@@ -293,6 +293,27 @@ TEST(GoldenCli, BcHybridTextGrid) {
       "bc_grid8x8_hybrid.txt.golden");
 }
 
+TEST(GoldenCli, ErrorBatchWithEdgeBc) {
+  const auto g = mycielski_graph();
+  expect_matches_golden(
+      run_usage_error({"bc", g.c_str(), "--exact", "--batch", "8",
+                       "--edge-bc"}),
+      "cli_error_batch_edge_bc.txt.golden");
+}
+
+TEST(GoldenCli, ErrorSourceOutOfRange) {
+  const auto g = mycielski_graph();
+  expect_matches_golden(run_usage_error({"bc", g.c_str(), "--source", "99"}),
+                        "cli_error_source_range.txt.golden");
+}
+
+TEST(GoldenCli, ErrorBatchOutOfRange) {
+  const auto g = mycielski_graph();
+  expect_matches_golden(
+      run_usage_error({"bc", g.c_str(), "--exact", "--batch", "65"}),
+      "cli_error_batch_range.txt.golden");
+}
+
 TEST(GoldenCli, ErrorHybridWithoutExact) {
   const auto g = mycielski_graph();
   expect_matches_golden(
