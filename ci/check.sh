@@ -10,10 +10,12 @@
 #      suite must be race-free.
 #
 # plus a focused ASan+UBSan stage (-DTURBOBC_SANITIZE=address): the
-# direction-optimizing smoke and the differential fuzz smoke only — the
-# paths that juggle the bitmap buffers, the widened convergence-flag
-# readback, and the oracle's mode cross-checks — so heap errors and UB in
-# the new kernels surface without paying for a third full-suite run.
+# direction-optimizing smoke and the differential fuzz smoke — the paths
+# that juggle the bitmap buffers, the widened convergence-flag readback,
+# and the oracle's mode cross-checks — and the simulator's own suite plus
+# the per-launch goldens, which drive the cost model's fixed-size stack
+# sector buffers (an overflow there is silent in Release), so heap, stack
+# errors and UB surface without paying for a third full-suite run.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -422,14 +424,19 @@ dobfs_smoke() {
   fi
 }
 
-# Focused ASan+UBSan stage (see file comment): build only the fuzzer and
-# the CLI, then run the two smokes that exercise the DO engine hardest.
+# Focused ASan+UBSan stage (see file comment): build only the fuzzer, the
+# CLI and two test binaries, then run the two smokes that exercise the DO
+# engine hardest, the simulator suite and the launch-pin goldens.
 run_asan_stage() {
   local name="asan" dir="${prefix}-asan"
   echo "=== [$name] configure ==="
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DTURBOBC_SANITIZE=address
   echo "=== [$name] build ==="
-  cmake --build "$dir" -j "$(nproc)" --target turbobc_fuzz turbobc_cli
+  cmake --build "$dir" -j "$(nproc)" --target turbobc_fuzz turbobc_cli \
+    test_gpusim test_core
+  echo "=== [$name] gpusim + launch-pin tests ==="
+  "$dir/tests/test_gpusim"
+  "$dir/tests/test_core" --gtest_filter='Engines/LaunchPin.*'
   dobfs_smoke "$name" "$dir"
   echo "=== [$name] fuzz-smoke ==="
   "$dir/src/tools/turbobc_fuzz" --seed 1 --budget 2000 \

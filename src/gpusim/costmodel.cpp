@@ -1,10 +1,12 @@
 #include "gpusim/costmodel.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <deque>
 #include <mutex>
 #include <string>
+
+#include "common/error.hpp"
 
 namespace turbobc::sim {
 
@@ -22,111 +24,37 @@ std::string_view intern_kernel_name(std::string_view name) {
   return table.emplace_back(name);
 }
 
+namespace detail {
+
+int sort_unique(std::uint64_t* v, int n) {
+  std::sort(v, v + n);
+  return static_cast<int>(std::unique(v, v + n) - v);
+}
+
+}  // namespace detail
+
 CostModel::CostModel(const DeviceProps& props) : props_(props) {
+  TBC_CHECK(std::has_single_bit(static_cast<unsigned>(props_.sector_bytes)),
+            "sector_bytes must be a power of two");
+  sector_shift_ = std::countr_zero(static_cast<unsigned>(props_.sector_bytes));
   const std::size_t lines =
       std::max<std::size_t>(1, props_.l2_bytes / props_.sector_bytes);
+  TBC_CHECK(lines <= 0xffffffffULL, "L2 line count must fit 32 bits");
   l2_tags_.assign(lines, kInvalidTag);
+  // Wraps to 0 for one line, where every index is 0 anyway.
+  l2_magic_ = ~0ULL / lines + 1;
 }
 
 void CostModel::reset_l2() {
   std::fill(l2_tags_.begin(), l2_tags_.end(), kInvalidTag);
 }
 
-bool CostModel::l2_probe_and_fill(std::uint64_t sector) {
-  const std::size_t line = sector % l2_tags_.size();
-  if (l2_tags_[line] == sector) return true;
-  l2_tags_[line] = sector;
-  return false;
-}
-
 std::uint64_t CostModel::process_slot(LaunchRecord& rec, const Access* accesses,
                                       int count) {
-  thread_local std::vector<std::uint64_t> sectors;
-  sectors.clear();
-  const std::uint64_t slots =
-      coalesce_slot(props_, rec, accesses, count, sectors);
-  replay_sectors(rec, sectors.data(), sectors.size());
-  return slots;
-}
-
-void CostModel::replay_sectors(LaunchRecord& rec, const std::uint64_t* sectors,
-                               std::size_t count) {
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (l2_probe_and_fill(sectors[i])) ++hits;
-  }
-  rec.l2_hit_transactions += hits;
-  rec.dram_transactions += count - hits;
-}
-
-std::uint64_t CostModel::coalesce_slot(const DeviceProps& props,
-                                       LaunchRecord& rec,
-                                       const Access* accesses, int count,
-                                       std::vector<std::uint64_t>& sectors_out) {
-  if (count <= 0) return 0;
-
-  // Collect the touched sectors of the warp's active lanes. A lane request
-  // can straddle a sector boundary (16 B loads), hence up to 2 sectors each.
-  std::array<std::uint64_t, 64> sectors;
-  int n_sectors = 0;
-  std::array<std::uint64_t, 32> addrs;  // for atomic contention analysis
-  int n_atomics = 0;
-  bool has_float_atomic = false;
-  bool is_store = false;
-
-  const auto sector_of = [&](std::uint64_t a) {
-    return a / static_cast<std::uint64_t>(props.sector_bytes);
-  };
-
-  for (int i = 0; i < count; ++i) {
-    const Access& a = accesses[i];
-    const std::uint64_t first = sector_of(a.addr);
-    const std::uint64_t last = sector_of(a.addr + (a.size ? a.size - 1 : 0));
-    sectors[n_sectors++] = first;
-    if (last != first) sectors[n_sectors++] = last;
-    switch (a.op) {
-      case MemOp::kLoad:
-        ++rec.load_requests;
-        break;
-      case MemOp::kStore:
-        ++rec.store_requests;
-        is_store = true;
-        break;
-      case MemOp::kAtomicFloat:
-        has_float_atomic = true;
-        ++rec.atomic_float_requests;
-        [[fallthrough]];
-      case MemOp::kAtomic:
-        ++rec.atomic_requests;
-        is_store = true;  // atomics produce read-modify-write traffic
-        addrs[n_atomics++] = a.addr;
-        break;
-    }
-  }
-
-  std::sort(sectors.begin(), sectors.begin() + n_sectors);
-  const auto uniq_end = std::unique(sectors.begin(), sectors.begin() + n_sectors);
-  const auto unique_sectors =
-      static_cast<std::uint64_t>(uniq_end - sectors.begin());
-
-  sectors_out.insert(sectors_out.end(), sectors.begin(), uniq_end);
-  if (is_store) {
-    rec.store_transactions += unique_sectors;
-  } else {
-    rec.load_transactions += unique_sectors;
-  }
-
-  // Issue cost: one issue plus a replay per extra transaction; contended
-  // atomics additionally serialize per conflicting lane.
-  std::uint64_t slots = std::max<std::uint64_t>(1, unique_sectors);
-  if (n_atomics > 0) {
-    std::sort(addrs.begin(), addrs.begin() + n_atomics);
-    const auto distinct = static_cast<std::uint64_t>(
-        std::unique(addrs.begin(), addrs.begin() + n_atomics) - addrs.begin());
-    slots += static_cast<std::uint64_t>(n_atomics) - distinct;
-    if (has_float_atomic) slots *= kFloatAtomicPenalty;
-  }
-  rec.issue_slots += slots;
+  SlotSectors sectors;
+  const std::uint64_t slots = coalesce(
+      rec, count, [accesses](int i) { return accesses[i]; }, sectors);
+  replay_sectors(rec, sectors.begin(), static_cast<std::size_t>(sectors.count));
   return slots;
 }
 

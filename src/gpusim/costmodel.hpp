@@ -23,6 +23,8 @@
 //    vertices, the paper's motivation for the COOC and veCSC variants.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -104,6 +106,18 @@ struct LaunchRecord {
   }
 };
 
+/// The unique sectors one warp slot touches, in ascending order. A lane
+/// request spans at most two sectors (widths <= 16 B), so 32 lanes touch at
+/// most 64; the fixed array keeps the per-slot pipeline off the heap. Only
+/// sector[0, count) is ever written or read.
+struct SlotSectors {
+  std::array<std::uint64_t, 64> sector;
+  int count = 0;
+
+  const std::uint64_t* begin() const noexcept { return sector.data(); }
+  const std::uint64_t* end() const noexcept { return sector.data() + count; }
+};
+
 /// Transaction-level memory and timing model. Owns the L2 tag state, which
 /// persists across launches like a real cache.
 class CostModel {
@@ -120,23 +134,31 @@ class CostModel {
   /// The slot pipeline is split in two so the parallel launch engine can run
   /// the pure part concurrently and the L2-stateful part serially:
   ///
-  ///  * coalesce_slot — pure function of the accesses: bumps the request and
-  ///    transaction counters and issue slots on `rec`, and appends the
-  ///    slot's unique sectors (ascending) to `sectors_out`. Touches no L2
-  ///    state, so per-warp results are identical no matter which host thread
-  ///    or order computes them.
+  ///  * coalesce — pure function of the lanes' accesses: bumps the request
+  ///    and transaction counters and issue slots on `rec`, and writes the
+  ///    slot's unique sectors (ascending) to `out`. Touches no L2 state, so
+  ///    per-warp results are identical no matter which host thread or order
+  ///    computes them. `lane_at(i)` yields the Access of the i-th of `count`
+  ///    active lanes: the scalar launcher reads its zipped per-lane logs
+  ///    (divergent lanes may mix ops in one slot), the warp context builds
+  ///    each lane's access from a raw address and the slot's one width and
+  ///    op.
   ///  * replay_sectors — probes the direct-mapped L2 with a sector stream in
   ///    order, splitting transactions into l2_hit/dram on `rec`. Must be
   ///    called in global warp order (warp 0's slots first, then warp 1's, …)
   ///    to reproduce the serial engine's cache timeline bit-for-bit.
   ///
-  /// process_slot == coalesce_slot + replay_sectors on the same record.
-  static std::uint64_t coalesce_slot(const DeviceProps& props,
-                                     LaunchRecord& rec, const Access* accesses,
-                                     int count,
-                                     std::vector<std::uint64_t>& sectors_out);
+  /// process_slot == coalesce + replay_sectors on the same record.
+  template <typename LaneAt>
+  std::uint64_t coalesce(LaunchRecord& rec, int count, LaneAt&& lane_at,
+                         SlotSectors& out) const;
   void replay_sectors(LaunchRecord& rec, const std::uint64_t* sectors,
                       std::size_t count);
+
+  /// Direct-mapped L2 line of `sector`: sector % lines, computed without a
+  /// division for sectors below 2^32.
+  std::uint64_t l2_line(std::uint64_t sector) const noexcept;
+  std::uint64_t l2_lines() const noexcept { return l2_tags_.size(); }
 
   /// Account `n` pure-ALU warp instructions.
   static std::uint64_t alu_slots(std::uint64_t n) { return n; }
@@ -165,7 +187,142 @@ class CostModel {
   bool l2_probe_and_fill(std::uint64_t sector);
 
   DeviceProps props_;
+  int sector_shift_ = 0;  // log2(props_.sector_bytes)
   std::vector<std::uint64_t> l2_tags_;  // direct-mapped, one tag per line
+  std::uint64_t l2_magic_ = 0;          // 2^64 / lines, rounded up
 };
+
+inline std::uint64_t CostModel::l2_line(std::uint64_t sector) const noexcept {
+  const std::uint64_t lines = l2_tags_.size();
+  if ((sector >> 32) != 0) return sector % lines;
+  // Lemire, Kaser & Kurz, "Faster remainder by direct computation" (2019):
+  // for a 32-bit numerator and divisor, sector % lines is the high 64 bits
+  // of (magic * sector mod 2^64) * lines.
+  const std::uint64_t frac = l2_magic_ * sector;
+  return static_cast<std::uint64_t>(
+      (static_cast<__uint128_t>(frac) * lines) >> 64);
+}
+
+inline bool CostModel::l2_probe_and_fill(std::uint64_t sector) {
+  const std::uint64_t line = l2_line(sector);
+  if (l2_tags_[line] == sector) return true;
+  l2_tags_[line] = sector;
+  return false;
+}
+
+inline void CostModel::replay_sectors(LaunchRecord& rec,
+                                      const std::uint64_t* sectors,
+                                      std::size_t count) {
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (l2_probe_and_fill(sectors[i])) ++hits;
+  }
+  rec.l2_hit_transactions += hits;
+  rec.dram_transactions += count - hits;
+}
+
+namespace detail {
+
+/// Sorts v[0, n), drops duplicates and returns the unique count. Kept out of
+/// line so the in-order fast path around it stays small enough to inline.
+int sort_unique(std::uint64_t* v, int n);
+
+/// Collects a slot's values into v[0, n) as the lanes deliver them, dropping
+/// a repeat of the previous value on arrival. Values that arrive in
+/// non-decreasing order (a CSC gather walks sorted rows) are then already
+/// the ascending unique set; only an out-of-order slot pays for a sort.
+struct UniqueCollector {
+  std::uint64_t* v;
+  int n = 0;
+  std::uint64_t last = 0;
+  bool ascending = true;
+
+  /// Branch-free: whether a lane repeats its neighbour depends on the data.
+  /// A repeat is written to v[n] and overwritten by the next value, so v
+  /// needs room for one entry per add.
+  void add(std::uint64_t x) {
+    const bool first = n == 0;
+    v[n] = x;
+    n += static_cast<int>(first | (x != last));
+    ascending &= first | (x >= last);
+    last = x;
+  }
+
+  /// Returns the number of unique values, left ascending in v[0, n).
+  int finish() {
+    if (!ascending) n = sort_unique(v, n);
+    return n;
+  }
+};
+
+}  // namespace detail
+
+template <typename LaneAt>
+std::uint64_t CostModel::coalesce(LaunchRecord& rec, int count,
+                                  LaneAt&& lane_at, SlotSectors& out) const {
+  out.count = 0;
+  if (count <= 0) return 0;
+
+  // Collect the touched sectors of the warp's active lanes. A lane request
+  // can straddle a sector boundary, hence up to 2 sectors each.
+  detail::UniqueCollector sectors{out.sector.data()};
+  std::array<std::uint64_t, 32> addrs;  // for atomic contention analysis
+  detail::UniqueCollector atomic_addrs{addrs.data()};
+  // Request counts stay in locals until the end: `rec` may alias the sector
+  // buffer as far as the compiler knows.
+  std::uint64_t loads = 0;
+  std::uint64_t stores = 0;
+  std::uint64_t n_atomics = 0;
+  std::uint64_t float_atomics = 0;
+
+  for (int i = 0; i < count; ++i) {
+    const Access a = lane_at(i);
+    const std::uint64_t first = a.addr >> sector_shift_;
+    const std::uint64_t last = (a.addr + (a.size ? a.size - 1 : 0)) >>
+                               sector_shift_;
+    sectors.add(first);
+    if (last != first) sectors.add(last);
+    switch (a.op) {
+      case MemOp::kLoad:
+        ++loads;
+        break;
+      case MemOp::kStore:
+        ++stores;
+        break;
+      case MemOp::kAtomicFloat:
+        ++float_atomics;
+        [[fallthrough]];
+      case MemOp::kAtomic:
+        ++n_atomics;
+        atomic_addrs.add(a.addr);
+        break;
+    }
+  }
+  rec.load_requests += loads;
+  rec.store_requests += stores;
+  rec.atomic_requests += n_atomics;
+  rec.atomic_float_requests += float_atomics;
+
+  out.count = sectors.finish();
+  const auto unique_sectors = static_cast<std::uint64_t>(out.count);
+  // Atomics produce read-modify-write traffic.
+  const bool is_store = stores + n_atomics > 0;
+  if (is_store) {
+    rec.store_transactions += unique_sectors;
+  } else {
+    rec.load_transactions += unique_sectors;
+  }
+
+  // Issue cost: one issue plus a replay per extra transaction; contended
+  // atomics additionally serialize per conflicting lane.
+  std::uint64_t slots = std::max<std::uint64_t>(1, unique_sectors);
+  if (n_atomics > 0) {
+    const auto distinct = static_cast<std::uint64_t>(atomic_addrs.finish());
+    slots += n_atomics - distinct;
+    if (float_atomics > 0) slots *= kFloatAtomicPenalty;
+  }
+  rec.issue_slots += slots;
+  return slots;
+}
 
 }  // namespace turbobc::sim

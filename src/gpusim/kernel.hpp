@@ -17,7 +17,7 @@
 // Host-parallel execution (ExecutorPool width > 1): warp ids are split into
 // contiguous chunks, one per pool slot. Each slot runs its warps against a
 // private LaunchRecord shard using the *pure* half of the cost pipeline
-// (CostModel::coalesce_slot), recording the slot's unique-sector stream and
+// (CostModel::coalesce), recording the slot's unique-sector stream and
 // deferring floating-point atomic adds. Shards are then merged on the
 // calling thread in slot (= warp) order: counters summed, sector streams
 // replayed through the stateful L2 (CostModel::replay_sectors) in exactly
@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -90,6 +91,25 @@ inline void merge_shards(CostModel& cost, LaunchRecord& rec,
     cost.replay_sectors(rec, sh.sectors.data(), sh.sectors.size());
     for (const DeferredAdd& d : sh.deferred) d.apply();
   }
+}
+
+/// Account one warp slot through the shared coalescer. A serial launch
+/// (`stream == nullptr`) probes the L2 with the slot's sectors at once; a
+/// shard appends them to its stream for the in-order replay at merge and
+/// touches only the model's constants.
+template <typename LaneAt>
+std::uint64_t account_slot(CostModel& cost, LaunchRecord& rec,
+                           std::vector<std::uint64_t>* stream, int count,
+                           LaneAt&& lane_at) {
+  SlotSectors sectors;
+  const std::uint64_t slots = cost.coalesce(rec, count, lane_at, sectors);
+  if (stream == nullptr) {
+    cost.replay_sectors(rec, sectors.begin(),
+                        static_cast<std::size_t>(sectors.count));
+  } else {
+    stream->insert(stream->end(), sectors.begin(), sectors.end());
+  }
+  return slots;
 }
 
 /// Reusable per-thread scratch for the scalar launcher's lane logs; hoisted
@@ -175,10 +195,10 @@ namespace detail {
 /// Run scalar-kernel warps [warp_begin, warp_end) against `rec`. In serial
 /// mode (`sectors == nullptr`) slots go through the full stateful pipeline
 /// via `cost`; in shard mode the pure half runs, the sector stream is
-/// recorded, and `cost` is not touched (it is shared across shards).
+/// recorded, and `cost`'s L2 is not touched (it is shared across shards).
 template <typename Body>
-std::uint64_t run_scalar_warps(const DeviceProps& props, CostModel* cost,
-                               LaunchRecord& rec, std::uint64_t warp_begin,
+std::uint64_t run_scalar_warps(CostModel& cost, LaunchRecord& rec,
+                               std::uint64_t warp_begin,
                                std::uint64_t warp_end, std::uint64_t n_threads,
                                std::vector<std::uint64_t>* sectors,
                                std::vector<DeferredAdd>* deferred,
@@ -210,12 +230,9 @@ std::uint64_t run_scalar_warps(const DeviceProps& props, CostModel* cost,
           scratch.slot_buf[cnt++] = scratch.logs[lane][s];
         }
       }
-      if (sectors != nullptr) {
-        warp_slots += CostModel::coalesce_slot(
-            props, rec, scratch.slot_buf.data(), cnt, *sectors);
-      } else {
-        warp_slots += cost->process_slot(rec, scratch.slot_buf.data(), cnt);
-      }
+      warp_slots += account_slot(
+          cost, rec, sectors, cnt,
+          [&](int i) -> const Access& { return scratch.slot_buf[i]; });
     }
     // Divergent ALU work executes in lockstep: the warp pays the longest
     // lane's instruction count.
@@ -246,8 +263,8 @@ void launch_scalar(Device& device, std::string_view name,
   if (!detail::use_parallel_engine(policy, rec.warps)) {
     rec.max_warp_slots = std::max(
         rec.max_warp_slots,
-        detail::run_scalar_warps(device.props(), &cost, rec, 0, rec.warps,
-                                 n_threads, nullptr, nullptr, body));
+        detail::run_scalar_warps(cost, rec, 0, rec.warps, n_threads, nullptr,
+                                 nullptr, body));
   } else {
     ExecutorPool& pool = ExecutorPool::instance();
     std::vector<detail::LaunchShard> shards(pool.threads());
@@ -255,8 +272,7 @@ void launch_scalar(Device& device, std::string_view name,
                                    unsigned slot) {
       detail::LaunchShard& sh = shards[slot];
       sh.max_warp_slots = detail::run_scalar_warps(
-          device.props(), &cost, sh.rec, wb, we, n_threads, &sh.sectors,
-          &sh.deferred, body);
+          cost, sh.rec, wb, we, n_threads, &sh.sectors, &sh.deferred, body);
     });
     detail::merge_shards(cost, rec, shards);
   }
@@ -271,19 +287,15 @@ class WarpCtx {
   /// Serial-mode context: slots go through the full stateful cost pipeline.
   WarpCtx(CostModel& cost, LaunchRecord& rec, std::uint64_t warp_id,
           std::uint64_t num_warps)
-      : cost_(&cost),
-        props_(&cost.props()),
-        rec_(&rec),
-        warp_id_(warp_id),
-        num_warps_(num_warps) {}
+      : cost_(&cost), rec_(&rec), warp_id_(warp_id), num_warps_(num_warps) {}
 
   /// Shard-mode context for the host-parallel engine: pure coalescing only;
   /// the sector stream and float adds are replayed at merge.
-  WarpCtx(const DeviceProps& props, LaunchRecord& rec,
+  WarpCtx(CostModel& cost, LaunchRecord& rec,
           std::vector<std::uint64_t>& sectors,
           std::vector<DeferredAdd>& deferred, std::uint64_t warp_id,
           std::uint64_t num_warps)
-      : props_(&props),
+      : cost_(&cost),
         rec_(&rec),
         sectors_(&sectors),
         deferred_(&deferred),
@@ -293,23 +305,22 @@ class WarpCtx {
   std::uint64_t warp_id() const noexcept { return warp_id_; }
   std::uint64_t num_warps() const noexcept { return num_warps_; }
   std::uint64_t slots() const noexcept { return slots_; }
-  bool concurrent() const noexcept { return cost_ == nullptr; }
+  bool concurrent() const noexcept { return sectors_ != nullptr; }
 
   /// One gather slot: active lanes load buf[idx_fn(lane)].
   template <typename T, typename IdxFn>
   std::array<T, kWarpSize> gather(const DeviceBuffer<T>& buf,
                                   std::uint32_t mask, IdxFn&& idx_fn) {
-    std::array<Access, kWarpSize> acc;
+    std::array<std::uint64_t, kWarpSize> addrs;
     std::array<T, kWarpSize> out{};
     int cnt = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if ((mask >> lane) & 1u) {
-        const std::size_t i = idx_fn(lane);
-        acc[cnt++] = Access{buf.addr_of(i), sizeof(T), MemOp::kLoad};
-        out[lane] = detail::read_elem(buf.host()[i], concurrent());
-      }
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      const std::size_t i = idx_fn(lane);
+      addrs[cnt++] = buf.addr_of(i);
+      out[lane] = detail::read_elem(buf.host()[i], concurrent());
     }
-    slots_ += account_slot(acc.data(), cnt);
+    account_uniform(addrs.data(), cnt, sizeof(T), MemOp::kLoad);
     return out;
   }
 
@@ -319,17 +330,16 @@ class WarpCtx {
   template <typename T, typename IdxFn, typename ValFn>
   void scatter(DeviceBuffer<T>& buf, std::uint32_t mask, IdxFn&& idx_fn,
                ValFn&& val_fn) {
-    std::array<Access, kWarpSize> acc;
+    std::array<std::uint64_t, kWarpSize> addrs;
     int cnt = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if ((mask >> lane) & 1u) {
-        const std::size_t i = idx_fn(lane);
-        acc[cnt++] = Access{buf.addr_of(i), sizeof(T), MemOp::kStore};
-        detail::write_elem(buf.host()[i], static_cast<T>(val_fn(lane)),
-                           concurrent());
-      }
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      const std::size_t i = idx_fn(lane);
+      addrs[cnt++] = buf.addr_of(i);
+      detail::write_elem(buf.host()[i], static_cast<T>(val_fn(lane)),
+                         concurrent());
     }
-    slots_ += account_slot(acc.data(), cnt);
+    account_uniform(addrs.data(), cnt, sizeof(T), MemOp::kStore);
   }
 
   /// One atomic slot: active lanes atomically add val_fn(lane) into
@@ -337,34 +347,32 @@ class WarpCtx {
   template <typename T, typename IdxFn, typename ValFn>
   void atomic_add(DeviceBuffer<T>& buf, std::uint32_t mask, IdxFn&& idx_fn,
                   ValFn&& val_fn) {
-    std::array<Access, kWarpSize> acc;
-    const MemOp op = buf.atomic_op();
+    std::array<std::uint64_t, kWarpSize> addrs;
     int cnt = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if ((mask >> lane) & 1u) {
-        const std::size_t i = idx_fn(lane);
-        acc[cnt++] = Access{buf.addr_of(i), sizeof(T), op};
-        const T val = static_cast<T>(val_fn(lane));
-        T& slot = buf.host()[i];
-        if (!concurrent()) {
-          slot = static_cast<T>(slot + val);
-        } else if constexpr (std::is_integral_v<T>) {
-          std::atomic_ref<T>(slot).fetch_add(val, std::memory_order_relaxed);
-        } else {
-          deferred_->push_back(DeferredAdd{&slot, static_cast<double>(val),
-                                           std::is_same_v<T, double>});
-        }
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      const std::size_t i = idx_fn(lane);
+      addrs[cnt++] = buf.addr_of(i);
+      const T val = static_cast<T>(val_fn(lane));
+      T& slot = buf.host()[i];
+      if (!concurrent()) {
+        slot = static_cast<T>(slot + val);
+      } else if constexpr (std::is_integral_v<T>) {
+        std::atomic_ref<T>(slot).fetch_add(val, std::memory_order_relaxed);
+      } else {
+        deferred_->push_back(DeferredAdd{&slot, static_cast<double>(val),
+                                         std::is_same_v<T, double>});
       }
     }
-    slots_ += account_slot(acc.data(), cnt);
+    account_uniform(addrs.data(), cnt, sizeof(T), buf.atomic_op());
   }
 
   /// All 32 lanes read the same element (e.g. the column pointer pair in
   /// Algorithm 4): one slot, one transaction.
   template <typename T>
   T broadcast_load(const DeviceBuffer<T>& buf, std::size_t i) {
-    Access a{buf.addr_of(i), sizeof(T), MemOp::kLoad};
-    slots_ += account_slot(&a, 1);
+    const std::uint64_t addr = buf.addr_of(i);
+    account_uniform(&addr, 1, sizeof(T), MemOp::kLoad);
     return detail::read_elem(buf.host()[i], concurrent());
   }
 
@@ -382,15 +390,17 @@ class WarpCtx {
   }
 
   /// Full warp shuffle reduction (Algorithm 4, lines 17-21): log2(32) = 5
-  /// shfl_down + add slots; returns the total in lane 0's position.
+  /// shfl_down + add slots; returns the total in lane 0's position. Folds in
+  /// place: at each offset only lanes below it can still reach lane 0, and
+  /// they read lanes the previous step wrote, so lane 0 sees the additions
+  /// of the shfl_down tree in the same order.
   template <typename T>
   T reduce_add(std::array<T, kWarpSize> v) {
     for (int offset = kWarpSize / 2; offset > 0; offset /= 2) {
-      const auto shifted = shfl_down(v, offset);
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        v[lane] = static_cast<T>(v[lane] + shifted[lane]);
+      for (int lane = 0; lane < offset; ++lane) {
+        v[lane] = static_cast<T>(v[lane] + v[lane + offset]);
       }
-      count_ops(1);  // the add
+      count_ops(2);  // the shfl_down and the add
     }
     return v[0];
   }
@@ -409,13 +419,16 @@ class WarpCtx {
   }
 
  private:
-  std::uint64_t account_slot(const Access* acc, int cnt) {
-    if (cost_ != nullptr) return cost_->process_slot(*rec_, acc, cnt);
-    return CostModel::coalesce_slot(*props_, *rec_, acc, cnt, *sectors_);
+  /// A warp-uniform slot: every active lane issues `op` of `size` bytes at
+  /// its address in addrs[0, cnt).
+  void account_uniform(const std::uint64_t* addrs, int cnt, std::uint8_t size,
+                       MemOp op) {
+    slots_ += detail::account_slot(*cost_, *rec_, sectors_, cnt, [=](int i) {
+      return Access{addrs[i], size, op};
+    });
   }
 
-  CostModel* cost_ = nullptr;
-  const DeviceProps* props_;
+  CostModel* cost_;
   LaunchRecord* rec_;
   std::vector<std::uint64_t>* sectors_ = nullptr;
   std::vector<DeferredAdd>* deferred_ = nullptr;
@@ -446,8 +459,7 @@ void launch_warp(Device& device, std::string_view name, std::uint64_t n_warps,
                                  unsigned slot) {
       detail::LaunchShard& sh = shards[slot];
       for (std::uint64_t w = wb; w < we; ++w) {
-        WarpCtx ctx(device.props(), sh.rec, sh.sectors, sh.deferred, w,
-                    n_warps);
+        WarpCtx ctx(cost, sh.rec, sh.sectors, sh.deferred, w, n_warps);
         body(ctx);
         sh.max_warp_slots = std::max(sh.max_warp_slots, ctx.slots());
       }

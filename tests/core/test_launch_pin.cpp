@@ -171,6 +171,10 @@ struct PinCase {
   Runner run;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which hold
+// heap addresses; ctest's test names would then change with every build.
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<PinCase> pin_cases() {
   std::vector<PinCase> cases;
   const std::pair<const char*, Variant> variants[] = {
