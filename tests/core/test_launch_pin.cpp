@@ -48,6 +48,13 @@ graph::EdgeList undirected_graph() {
 
 constexpr vidx_t kSource = 3;
 const std::vector<vidx_t> kBatch = {0, 3, 5, 7, 11, 13, 17, 19};
+/// Three-wide blocks {0, 20, 20}, {40, 3, 40}, {17, 0}: a ragged last block
+/// (a partial lane mask), and duplicate sources inside a block whose seed
+/// masks collapse onto one vertex while the block's other lanes sit on
+/// another shard of a 3-device partition.
+const std::vector<vidx_t> kDupBatch = {0, 20, 20, 40, 3, 40, 17, 0};
+const std::vector<double> kDupWeights = {1.5, 0.5, 2.0, 1.0,
+                                         0.25, 3.0, 1.25, 0.75};
 
 void dump_device(std::ostringstream& out, int k, const sim::Device& dev) {
   out << std::hexfloat;
@@ -133,8 +140,9 @@ Runner streaming() {
 }
 
 Runner partitioned(Advance advance, vidx_t batch,
-                   std::optional<Variant> variant = std::nullopt) {
-  return [advance, batch, variant](const graph::EdgeList& el) {
+                   std::optional<Variant> variant = std::nullopt,
+                   const std::vector<vidx_t>& sources = kBatch) {
+  return [advance, batch, variant, &sources](const graph::EdgeList& el) {
     sim::TopologyProps props = sim::TopologyProps::quad_titan_xp();
     props.num_devices = 3;
     sim::Topology topo(props);
@@ -144,7 +152,7 @@ Runner partitioned(Advance advance, vidx_t batch,
                               .advance = advance,
                               .batch_size = batch});
     const dist::DistResult r =
-        batch > 0 ? engine.run_sources(kBatch)
+        batch > 0 ? engine.run_sources(sources)
                   : engine.run_single_source(kSource);
     std::ostringstream out;
     dump_topology(out, topo);
@@ -162,6 +170,21 @@ Runner batched(Advance advance, bool compress) {
     std::ostringstream out;
     dump_device(out, 0, dev);
     dump_bc(out, r.bc);
+    return out.str();
+  };
+}
+
+Runner batched_moments(vidx_t batch) {
+  return [batch](const graph::EdgeList& el) {
+    sim::Device dev;
+    TurboBCBatched engine(dev, el, {.batch_size = batch});
+    TurboBC::MomentResult m;
+    const BcResult r = engine.run_sources_moments(kDupBatch, kDupWeights, m);
+    std::ostringstream out;
+    dump_device(out, 0, dev);
+    dump_bc(out, r.bc);
+    dump_bc(out, m.sum);
+    dump_bc(out, m.sumsq);
     return out.str();
   };
 }
@@ -220,6 +243,9 @@ std::vector<PinCase> pin_cases() {
                    batched(Advance::kPull, true)});
   cases.push_back({"partition_k3_batched_k8",
                    partitioned(Advance::kPush, 8)});
+  cases.push_back({"batched_k3_moments_dup", batched_moments(3)});
+  cases.push_back({"partition_k3_batched_k3_dup",
+                   partitioned(Advance::kPush, 3, std::nullopt, kDupBatch)});
   return cases;
 }
 
