@@ -93,24 +93,11 @@ class TurboBCBatched {
   const BatchedOptions& options() const noexcept { return options_; }
 
  private:
-  /// Per-batch moment sink: the whole-run accumulator arrays plus the k
-  /// importance weights of this batch's lanes.
-  struct BatchMoments {
-    sim::DeviceBuffer<bc_t>* sum = nullptr;
-    sim::DeviceBuffer<bc_t>* sumsq = nullptr;
-    const double* weights = nullptr;  // k entries, parallel to the batch
-  };
-
   /// run_sources / run_sources_moments: moments (with one weight per
   /// source) is null for a plain run.
   BcResult run_sources_impl(const std::vector<vidx_t>& sources,
                             const std::vector<double>* weights,
                             TurboBC::MomentResult* moments);
-
-  /// One batch of up to batch_size sources accumulated into bc_dev.
-  void run_batch(const std::vector<vidx_t>& batch,
-                 sim::DeviceBuffer<bc_t>& bc_dev,
-                 const BatchMoments* moments = nullptr);
 
   sim::Device& device_;
   BatchedOptions options_;

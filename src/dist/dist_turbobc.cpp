@@ -226,6 +226,97 @@ struct DistTurboBC::Partitioned {
                           });
   }
 
+  // --- Lane frontier (every shard is pinned to scCSC) ---
+
+  template <typename Fn>
+  void with_columns(int k, Fn&& fn) const {
+    fn(*shard(k).csc);
+  }
+
+  /// No device-side source list: each lane is seeded on its owner.
+  std::optional<sim::DeviceBuffer<vidx_t>> lane_sources(
+      const std::vector<vidx_t>&) const {
+    return std::nullopt;
+  }
+
+  /// Lane j's source vertex gets the FULL membership word of that vertex
+  /// (duplicate sources collapse — same-value stores), composed on the host
+  /// and stored by one 1-thread launch per lane on the owner device.
+  void seed_lanes(const std::vector<vidx_t>& batch,
+                  const std::optional<sim::DeviceBuffer<vidx_t>>&,
+                  bc::PerPart<std::uint64_t>& F, bc::PerPart<std::uint64_t>& V,
+                  bc::PerPart<sigma_t>& sigma) const {
+    const std::size_t kb = batch.size();
+    for (std::size_t j = 0; j < kb; ++j) {
+      std::uint64_t mask = 0;
+      for (std::size_t i = 0; i < kb; ++i) {
+        if (batch[i] == batch[j]) mask |= 1ull << i;
+      }
+      const int o = owner(batch[j]);
+      const auto oo = static_cast<std::size_t>(o);
+      const auto sl = static_cast<std::size_t>(batch[j] - col_begin(o));
+      sim::launch_scalar(device(o), "bfs_init_msbfs", 1,
+                         [&](sim::ThreadCtx& t) {
+                           t.count_word_ops(1);
+                           F[oo].store(t, sl, mask);
+                           V[oo].store(t, sl, mask);
+                           sigma[oo].store(t, sl * kb + j, 1);
+                         });
+    }
+  }
+
+  /// Lane exchange: the local mask slices all_gathered as ONE 8-byte word
+  /// per vertex for all lanes (2x the scalar rank payload), plus the packed
+  /// sigma values of the frontier's set lanes, padded to the largest rank.
+  /// Every device stages the full-length mask and a frontier-value operand
+  /// (frontier slots only; everything else stays zero).
+  void exchange_lanes(const bc::PerPart<std::uint64_t>& cur,
+                      const bc::PerPart<sigma_t>& sigma, std::size_t kb,
+                      bc::PerPart<std::uint64_t>& xm,
+                      bc::PerPart<sigma_t>& xs) const {
+    sim::Topology& topo = engine.topo_;
+    topo.all_gather(2 * engine.plan_.rank_bytes());
+    std::uint64_t max_pairs = 0;
+    std::vector<std::uint64_t> mask(xm[0].size(), 0);
+    std::vector<sigma_t> vals(xs[0].size(), sigma_t{0});
+    for (int k = 0; k < parts(); ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      const auto& mk = cur[kk].host();
+      const auto& sg = sigma[kk].host();
+      const auto cb = static_cast<std::size_t>(col_begin(k));
+      std::uint64_t pairs = 0;
+      for (std::size_t i = 0; i < mk.size(); ++i) {
+        mask[cb + i] = mk[i];
+        for (std::uint64_t bits = mk[i]; bits != 0; bits &= bits - 1) {
+          const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+          vals[(cb + i) * kb + j] = sg[i * kb + j];
+          ++pairs;
+        }
+      }
+      max_pairs = std::max(max_pairs, pairs);
+    }
+    if (max_pairs > 0) topo.all_gather(4ull * max_pairs);
+    for (int k = 0; k < parts(); ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      xm[kk].host() = mask;
+      xs[kk].host() = vals;
+    }
+  }
+
+  /// The k-lane backward product: the batched SpMM kernels inside the same
+  /// dependency exchange — column gathers in the single batched device's
+  /// edge order, the directed scatter on the device-order ring —
+  /// bit-identical to TurboBCBatched.
+  void backward_lanes(std::size_t kb, bc::PerPart<bc_t>& delta_u,
+                      bc::PerPart<bc_t>& delta_ut,
+                      bc::PerPart<bc_t>& xb) const {
+    exchange_dependencies(engine.topo_, engine.plan_, engine.directed_, kb,
+                          delta_u, delta_ut, xb,
+                          [&](int k, const auto& x, auto& y) {
+                            columns(k).lane_product(kb, x, y);
+                          });
+  }
+
   /// Per-device bc accumulators over the local column slices; they live for
   /// the whole call, like the single engine's "bc" array.
   bc::PerPart<bc_t> bc_slices() const {
@@ -305,10 +396,6 @@ DistTurboBC::DistTurboBC(sim::Topology& topology, const graph::EdgeList& graph,
             "device)");
   TBC_CHECK(options_.batch_size >= 0 && options_.batch_size <= 64,
             "dist batch size must be in [0, 64]");
-  TBC_CHECK(!(strategy_ == Strategy::kPartition && options_.batch_size > 0 &&
-              options_.advance != bc::Advance::kPush),
-            "the batched partitioned sweep is push-only (masks are "
-            "exchanged, not bitmaps)");
 
   if (strategy_ == Strategy::kReplicate) {
     plan_ = ShardPlan::make(n_, 1);
@@ -409,7 +496,6 @@ DistResult DistTurboBC::run_impl(const std::vector<vidx_t>& sources,
   }
   TBC_CHECK(weights == nullptr && moments == nullptr,
             "moment accumulation needs the replicated strategy");
-  if (options_.batch_size > 0) return run_partitioned_batched(sources);
   return run_partitioned(sources);
 }
 
@@ -514,17 +600,41 @@ DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
   bc::PerPart<bc_t> bck = res.bc_slices();
   const bc::LevelOptions level{n_, m_, directed_, options_.advance,
                                options_.thresholds};
+  const std::size_t count = sources.size();
+  bc::SourceStats last;
+
+  if (options_.batch_size > 0) {
+    // One lane-frontier sweep per block of batch_size sources. The shard
+    // accumulators take every block on-device via the strict per-lane fold
+    // — the float grouping of TurboBCBatched::run_sources, which never
+    // folds blocks on the host.
+    for (auto& buf : bck) buf.device_fill(0.0);
+    const auto kb = static_cast<std::size_t>(options_.batch_size);
+    for (std::size_t begin = 0; begin < count; begin += kb) {
+      bc::LevelDriver<Partitioned, bc::Frontier::kLanes> driver(
+          res, level,
+          std::vector<vidx_t>(
+              sources.begin() + static_cast<std::ptrdiff_t>(begin),
+              sources.begin() +
+                  static_cast<std::ptrdiff_t>(std::min(count, begin + kb))));
+      driver.forward();
+      driver.backward(std::span(bck));
+      last = driver.stats();
+    }
+    return res.finish(base, count, last,
+                      [&](int k) -> const std::vector<bc_t>& {
+                        return bck[static_cast<std::size_t>(k)].host();
+                      });
+  }
 
   // Same fixed source-block grouping as the single engine: per block the
   // per-device bc arrays restart from zero and the block's contribution is
   // folded on the host, so the float grouping matches the single engine's
   // per-block partials exactly. Each source is one level-driver sweep, every
   // shard stepping in lock-step in device order.
-  const std::size_t count = sources.size();
   const bc::TurboBC::BlockPlan plan = bc::TurboBC::block_plan(count);
   std::vector<std::vector<bc_t>> acc;
   for (const auto& b : bck) acc.emplace_back(b.size(), 0.0);
-  bc::SourceStats last;
   for (std::size_t b = 0; b < plan.num_blocks; ++b) {
     for (auto& buf : bck) buf.device_fill(0.0);
     for (std::size_t i = plan.begin(b); i < plan.end(b, count); ++i) {
@@ -541,242 +651,6 @@ DistResult DistTurboBC::run_partitioned(const std::vector<vidx_t>& sources) {
   return res.finish(base, count, last, [&](int k) -> const std::vector<bc_t>& {
     return acc[static_cast<std::size_t>(k)];
   });
-}
-
-DistResult DistTurboBC::run_partitioned_batched(
-    const std::vector<vidx_t>& sources) {
-  using T = sigma_t;
-  const int k_devices = topo_.num_devices();
-  const auto nn = static_cast<std::size_t>(n_);
-  const RunBaseline base = RunBaseline::capture(topo_);
-
-  // The bc accumulators accumulate every block on-device via the strict
-  // per-lane fold — the same float grouping as TurboBCBatched::run_sources,
-  // which never folds blocks on the host.
-  Partitioned res{*this};
-  bc::PerPart<bc_t> bck = res.bc_slices();
-  for (auto& buf : bck) buf.device_fill(0.0);
-
-  // One MS-BFS block of kb <= 64 sources, every shard in lock-step. The
-  // forward exchange carries ONE 8-byte mask word per vertex per level for
-  // all lanes (2x the scalar rank payload, serving kb sources) plus the
-  // packed block of the level's new sigma values.
-  const auto run_block = [&](const std::vector<vidx_t>& batch) {
-    const auto kb = batch.size();
-    const std::uint64_t full = kb == 64 ? ~0ull : ((1ull << kb) - 1);
-    const auto slot = [kb](std::size_t v, std::size_t j) {
-      return v * kb + j;
-    };
-
-    std::vector<sim::DeviceBuffer<std::int32_t>> S;
-    std::vector<sim::DeviceBuffer<T>> sigma;
-    S.reserve(static_cast<std::size_t>(k_devices));
-    sigma.reserve(static_cast<std::size_t>(k_devices));
-    for (int k = 0; k < k_devices; ++k) {
-      sim::Device& dev = topo_.device(k);
-      const auto nl = static_cast<std::size_t>(
-          shards_[static_cast<std::size_t>(k)].n_local());
-      S.emplace_back(dev, nl * kb, "S.k");
-      sigma.emplace_back(dev, nl * kb, "sigma.k", 4);
-      sigma.back().set_modeled_integer(true);
-      S.back().device_fill(0);
-      sigma.back().device_fill(0);
-    }
-
-    vidx_t max_height = 0;
-    {
-      // Forward MS-BFS sweep. Local masks per shard column slice; the
-      // exchange operands (global masks + global frontier sigma values)
-      // are freed with the rest of the forward state at scope end.
-      std::vector<sim::DeviceBuffer<std::uint64_t>> fm, vm, nm, xm;
-      std::vector<sim::DeviceBuffer<T>> xs;
-      std::vector<sim::DeviceBuffer<std::int32_t>> cflags;
-      for (int k = 0; k < k_devices; ++k) {
-        sim::Device& dev = topo_.device(k);
-        const auto nl = static_cast<std::size_t>(
-            shards_[static_cast<std::size_t>(k)].n_local());
-        fm.emplace_back(dev, nl, "F.mask", 8);
-        vm.emplace_back(dev, nl, "V.mask", 8);
-        nm.emplace_back(dev, nl, "Fn.mask", 8);
-        xm.emplace_back(dev, nn, "exchange.mask", 8);
-        xs.emplace_back(dev, nn * kb, "exchange.sigma", 4);
-        xs.back().set_modeled_integer(true);
-        cflags.emplace_back(dev, kb, "c.k");
-        fm.back().device_fill(0);
-        vm.back().device_fill(0);
-      }
-
-      // Seed: lane j's source vertex gets the FULL membership word of that
-      // vertex (duplicate sources collapse — same-value stores), computed
-      // on its owner device, like the single engine's "bfs_init_msbfs".
-      std::vector<std::uint64_t> seed_mask(kb, 0);
-      for (std::size_t j = 0; j < kb; ++j) {
-        for (std::size_t i = 0; i < kb; ++i) {
-          if (batch[i] == batch[j]) seed_mask[j] |= 1ull << i;
-        }
-      }
-      for (std::size_t j = 0; j < kb; ++j) {
-        const int owner = plan_.owner(batch[j]);
-        const auto oo = static_cast<std::size_t>(owner);
-        const auto sl = static_cast<std::size_t>(
-            batch[j] - plan_.col_begin(owner));
-        const std::uint64_t mask = seed_mask[j];
-        sim::launch_scalar(topo_.device(owner), "bfs_init_msbfs", 1,
-                           [&](sim::ThreadCtx& t) {
-                             t.count_word_ops(1);
-                             fm[oo].store(t, sl, mask);
-                             vm[oo].store(t, sl, mask);
-                             sigma[oo].store(t, slot(sl, j), 1);
-                           });
-      }
-
-      std::vector<sim::DeviceBuffer<std::uint64_t>>* cur = &fm;
-      std::vector<sim::DeviceBuffer<std::uint64_t>>* nxt = &nm;
-      vidx_t d = 0;
-      while (true) {
-        ++d;
-        // Mask exchange: 8 bytes per vertex per rank (2x the scalar rank
-        // payload — for ALL kb lanes), plus the packed sigma values of the
-        // current frontier's set lanes, padded to the largest rank.
-        topo_.all_gather(2 * plan_.rank_bytes());
-        std::uint64_t max_pairs = 0;
-        std::vector<std::uint64_t> global_mask(nn, 0);
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          const auto& mk = (*cur)[kk].host();
-          std::uint64_t pairs = 0;
-          for (std::size_t i = 0; i < mk.size(); ++i) {
-            global_mask[static_cast<std::size_t>(plan_.col_begin(k)) + i] =
-                mk[i];
-            pairs += static_cast<std::uint64_t>(std::popcount(mk[i]));
-          }
-          max_pairs = std::max(max_pairs, pairs);
-        }
-        if (max_pairs > 0) topo_.all_gather(4ull * max_pairs);
-        // Assemble the global frontier-value operand (frontier slots only;
-        // everything else stays zero) and stage it on every device.
-        std::vector<T> global_vals(nn * kb, T{0});
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          const auto& mk = (*cur)[kk].host();
-          const auto& sg = sigma[kk].host();
-          const auto cb = static_cast<std::size_t>(plan_.col_begin(k));
-          for (std::size_t i = 0; i < mk.size(); ++i) {
-            for (std::uint64_t bits = mk[i]; bits != 0; bits &= bits - 1) {
-              const auto j =
-                  static_cast<std::size_t>(std::countr_zero(bits));
-              global_vals[slot(cb + i, j)] = sg[slot(i, j)];
-            }
-          }
-        }
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          xm[kk].host() = global_mask;
-          xs[kk].host() = global_vals;
-        }
-
-        bool any = false;
-        for (int k = 0; k < k_devices; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          sim::Device& dev = topo_.device(k);
-          (*nxt)[kk].device_fill(0);
-          cflags[kk].device_fill(0);
-          spmv::spmm_forward_msbfs_sccsc(
-              dev, *shards_[kk].csc, static_cast<int>(kb), full, d, xm[kk],
-              xs[kk], vm[kk], (*nxt)[kk], sigma[kk], S[kk], cflags[kk],
-              /*count_degrees=*/false);
-          // ONE kb-word flag readback per shard per level (vs one word per
-          // source-level in the scalar pipeline).
-          const auto flags = cflags[kk].copy_to_host();
-          for (std::size_t j = 0; j < kb; ++j) {
-            if (flags[j] != 0) any = true;
-          }
-        }
-        if (!any) break;
-        std::swap(cur, nxt);
-      }
-      max_height = d - 1;
-    }
-
-    // Backward stage: kb dependency columns per shard, the same batched SpMM
-    // kernels as TurboBCBatched, with the exchange around each level.
-    std::vector<sim::DeviceBuffer<bc_t>> delta, delta_u, delta_ut, xb;
-    for (int k = 0; k < k_devices; ++k) {
-      sim::Device& dev = topo_.device(k);
-      const auto nl = static_cast<std::size_t>(
-          shards_[static_cast<std::size_t>(k)].n_local());
-      delta.emplace_back(dev, nl * kb, "delta.k", 4);
-      delta_u.emplace_back(dev, nl * kb, "delta_u.k", 4);
-      delta_ut.emplace_back(dev, nl * kb, "delta_ut.k", 4);
-      xb.emplace_back(dev, nn * kb, "exchange", 4);
-      delta.back().device_fill(0.0);
-    }
-
-    for (vidx_t d = max_height; d >= 2; --d) {
-      for (int k = 0; k < k_devices; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        bc::dep_prepare(topo_.device(k), shards_[kk].n_local(), d, S[kk],
-                        sigma[kk], delta[kk], delta_u[kk], kb);
-      }
-      // The same batched SpMM kernels as TurboBCBatched, column gathers in
-      // the single batched device's edge order, the directed scatter on the
-      // device-order ring — bit-identical.
-      exchange_dependencies(
-          topo_, plan_, directed_, kb, delta_u, delta_ut, xb,
-          [&](int k, const auto& x, auto& y) {
-            const auto& csc = *shards_[static_cast<std::size_t>(k)].csc;
-            directed_ ? spmv::dep_spmm_sccsc_scatter(topo_.device(k), csc, kb,
-                                                     x, y)
-                      : spmv::dep_spmm_sccsc(topo_.device(k), csc, kb, x, y);
-          });
-      for (int k = 0; k < k_devices; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        bc::dep_update(topo_.device(k), shards_[kk].n_local(), d, S[kk],
-                       sigma[kk], delta_ut[kk], delta[kk], kb);
-      }
-    }
-
-    // Strict per-lane LEFT fold into the running shard accumulator — the
-    // exact kernel TurboBCBatched runs, on the local column slice.
-    const bc_t scale = directed_ ? 1.0 : 0.5;
-    for (int k = 0; k < k_devices; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      bc::bc_accum_batched(topo_.device(k), shards_[kk].n_local(),
-                           plan_.col_begin(k), batch, scale, delta[kk],
-                           bck[kk]);
-    }
-
-    bc::SourceStats stats;
-    stats.bfs_depth = max_height;
-    vidx_t reached = 0;
-    for (int k = 0; k < k_devices; ++k) {
-      const auto& sg = sigma[static_cast<std::size_t>(k)].host();
-      const auto nl = sg.size() / kb;
-      for (std::size_t i = 0; i < nl; ++i) {
-        for (std::size_t j = 0; j < kb; ++j) {
-          if (sg[slot(i, j)] != 0) {
-            ++reached;
-            break;
-          }
-        }
-      }
-    }
-    stats.reached = reached;
-    return stats;
-  };
-
-  const auto kb = static_cast<std::size_t>(options_.batch_size);
-  bc::SourceStats last;
-  for (std::size_t begin = 0; begin < sources.size(); begin += kb) {
-    const std::size_t end = std::min(sources.size(), begin + kb);
-    last = run_block(std::vector<vidx_t>(
-        sources.begin() + static_cast<std::ptrdiff_t>(begin),
-        sources.begin() + static_cast<std::ptrdiff_t>(end)));
-  }
-  return res.finish(base, sources.size(), last,
-                    [&](int k) -> const std::vector<bc_t>& {
-                      return bck[static_cast<std::size_t>(k)].host();
-                    });
 }
 
 }  // namespace turbobc::dist

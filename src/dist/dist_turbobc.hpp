@@ -74,9 +74,11 @@ struct DistOptions {
   /// engine's representation — core/turbobc_batched.hpp) so ONE 8-byte mask
   /// word per frontier vertex per level crosses the interconnect for all
   /// lanes at once, instead of one 4-byte frontier word per source-level.
-  /// Push advance + CSC shard layout only; BC values are bit-identical to
-  /// the single-device TurboBCBatched at the same batch size. The
-  /// replicated strategy ignores this (its whole-graph blocks already ride
+  /// Every shard is pinned to the scCSC layout; push, pull and auto are
+  /// all supported (pull probes an any-lane bitmap each device builds from
+  /// its exchanged mask copy). BC values are bit-identical to the
+  /// single-device TurboBCBatched at the same batch size. The replicated
+  /// strategy ignores this (its whole-graph blocks already ride
   /// TurboBC::run_source_block).
   vidx_t batch_size = 0;
 };
@@ -156,8 +158,8 @@ class DistTurboBC {
   DistResult run_replicated(const std::vector<vidx_t>& sources,
                             const std::vector<double>* weights,
                             bc::TurboBC::MomentResult* moments);
+  /// Per-source sweeps, or lane blocks when batch_size > 0.
   DistResult run_partitioned(const std::vector<vidx_t>& sources);
-  DistResult run_partitioned_batched(const std::vector<vidx_t>& sources);
 
   sim::Topology& topo_;
   DistOptions options_;

@@ -18,7 +18,7 @@
 // undirected graphs) and scatter form (directed graphs need out-neighbour
 // sums through the same single stored structure — see DESIGN.md).
 //
-// The batched engine's MS-BFS kernels (spmm_forward_msbfs_*) are the SpGEMM
+// The batched engine's MS-BFS kernel (spmm_forward_msbfs) is the SpGEMM
 // view of the forward sweep over a boolean semiring: per-vertex 64-bit
 // source-membership masks replace up-to-64 integer frontier vectors, so one
 // edge traversal serves every source in the block with AND/OR/popcount word
@@ -386,54 +386,29 @@ inline void msbfs_frontier_to_bitmap(
       });
 }
 
-/// Shared commit tail of the push and pull MS-BFS kernels: store the new
-/// lane mask `m` for column v, mark visited, and write sigma / depth /
-/// per-lane convergence flags for each newly set bit. `count_degrees`
-/// enables the direction-switch counters cflags[k] (new any-lane vertices)
-/// and cflags[k+1] (their in-degrees).
-template <typename T>
-inline void msbfs_column_commit(
-    sim::ThreadCtx& t, std::size_t v, int k, vidx_t depth,
-    sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
-    sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
-    sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees,
-    std::uint64_t degree, std::uint64_t vis, std::uint64_t m, const T* sums) {
-  if (m == 0) return;
-  Fn.store(t, v, m);
-  V.store(t, v, vis | m);
-  t.count_word_ops(2);
-  const auto kk = static_cast<std::size_t>(k);
-  for (std::uint64_t bits = m; bits != 0; bits &= bits - 1) {
-    const auto j = static_cast<std::size_t>(std::countr_zero(bits));
-    sigma.store(t, v * kk + j, sums[j]);
-    S.store(t, v * kk + j, static_cast<std::int32_t>(depth));
-    cflags.store(t, j, 1);
-  }
-  if (count_degrees) {
-    cflags.atomic_add(t, kk, 1);
-    cflags.atomic_add(t, kk + 1, static_cast<std::int32_t>(degree));
-  }
-}
-
 /// One MS-BFS level: one thread per column v, serial scan of v's in-edges;
 /// every edge costs one 8-byte mask load + one word op for all k sources.
-/// kPull first probes the any-lane frontier bitmap (4-byte word,
-/// L2-resident) and touches the mask + values only on a hit — the
-/// direction-optimized form for levels where most in-neighbours are off
-/// every lane's frontier.
+/// A non-null `bitmap` pulls: each edge first probes the any-lane frontier
+/// bitmap (4-byte word, L2-resident) and touches the mask + values only on a
+/// hit — the direction-optimized form for levels where most in-neighbours
+/// are off every lane's frontier. A null one pushes.
 ///
 /// The frontier operands are arguments: the mask word F (bit j of F(row)
 /// iff row is on lane j's frontier) and the frontier values X (slot
 /// row * k + j). A resident engine passes (F, sigma) — a frontier vertex's
 /// value IS its sigma. The partitioned engine passes the EXCHANGED
-/// full-length operands (Fx, Xs), global row space, assembled by its
-/// per-level all_gather, while V / Fn / sigma / S commit to the shard's
-/// local column slice; per-column edge order equals the single device's,
-/// so the committed sigma matrix is bit-identical shard by shard.
+/// full-length operands, global row space, assembled by its per-level
+/// all_gather, while V / Fn / sigma / S commit to the shard's local column
+/// slice; per-column edge order equals the single device's, so the
+/// committed sigma matrix is bit-identical shard by shard.
+///
+/// Commit: store the new lane mask m for column v, mark visited, and write
+/// sigma / depth / per-lane convergence flags for each newly set bit.
+/// `count_degrees` enables the direction-switch counters cflags[k] (new
+/// any-lane vertices) and cflags[k+1] (their in-degrees).
 template <bool kPull, typename G, typename T>
-void msbfs_fold(sim::Device& device, std::string_view name, const G& g,
-                int k, std::uint64_t full, vidx_t depth,
-                const sim::DeviceBuffer<std::uint64_t>& F,
+void msbfs_fold(sim::Device& device, const G& g, int k, std::uint64_t full,
+                vidx_t depth, const sim::DeviceBuffer<std::uint64_t>& F,
                 const sim::DeviceBuffer<T>& X,
                 const sim::DeviceBuffer<std::uint32_t>* bitmap,
                 sim::DeviceBuffer<std::uint64_t>& V,
@@ -441,6 +416,11 @@ void msbfs_fold(sim::Device& device, std::string_view name, const G& g,
                 sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
                 sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
   const auto kk = static_cast<std::size_t>(k);
+  const std::string_view name =
+      kPull ? storage_kernel_name<G>("bfs_spmm_msbfs_pull_sccsc",
+                                     "bfs_spmm_msbfs_pull_ccsc")
+            : storage_kernel_name<G>("bfs_spmm_msbfs_sccsc",
+                                     "bfs_spmm_msbfs_ccsc");
   sim::launch_scalar(
       device, name, static_cast<std::uint64_t>(g.n()),
       [&](sim::ThreadCtx& t) {
@@ -469,39 +449,38 @@ void msbfs_fold(sim::Device& device, std::string_view name, const G& g,
             sums[j] += X.load(t, row * kk + j);
           }
         }
-        msbfs_column_commit(t, v, k, depth, V, Fn, sigma, S, cflags,
-                            count_degrees,
-                            static_cast<std::uint64_t>(end - begin), vis, m,
-                            sums);
+        if (m == 0) return;
+        Fn.store(t, v, m);
+        V.store(t, v, vis | m);
+        t.count_word_ops(2);
+        for (std::uint64_t bits = m; bits != 0; bits &= bits - 1) {
+          const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+          sigma.store(t, v * kk + j, sums[j]);
+          S.store(t, v * kk + j, static_cast<std::int32_t>(depth));
+          cflags.store(t, j, 1);
+        }
+        if (count_degrees) {
+          cflags.atomic_add(t, kk, 1);
+          cflags.atomic_add(t, kk + 1, static_cast<std::int32_t>(end - begin));
+        }
       });
 }
 
 template <typename G, typename T>
-void spmm_forward_msbfs_sccsc(
+void spmm_forward_msbfs(
     sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
     const sim::DeviceBuffer<std::uint64_t>& F, const sim::DeviceBuffer<T>& X,
+    const sim::DeviceBuffer<std::uint32_t>* bitmap,
     sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
     sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
     sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
-  msbfs_fold<false>(
-      device,
-      storage_kernel_name<G>("bfs_spmm_msbfs_sccsc", "bfs_spmm_msbfs_ccsc"), g,
-      k, full, depth, F, X, nullptr, V, Fn, sigma, S, cflags, count_degrees);
-}
-
-template <typename G, typename T>
-void spmm_forward_msbfs_pull_sccsc(
-    sim::Device& device, const G& g, int k, std::uint64_t full, vidx_t depth,
-    const sim::DeviceBuffer<std::uint64_t>& F,
-    const sim::DeviceBuffer<std::uint32_t>& bitmap,
-    sim::DeviceBuffer<std::uint64_t>& V, sim::DeviceBuffer<std::uint64_t>& Fn,
-    sim::DeviceBuffer<T>& sigma, sim::DeviceBuffer<std::int32_t>& S,
-    sim::DeviceBuffer<std::int32_t>& cflags, bool count_degrees) {
-  msbfs_fold<true>(device,
-                   storage_kernel_name<G>("bfs_spmm_msbfs_pull_sccsc",
-                                          "bfs_spmm_msbfs_pull_ccsc"),
-                   g, k, full, depth, F, sigma, &bitmap, V, Fn, sigma, S,
-                   cflags, count_degrees);
+  if (bitmap != nullptr) {
+    msbfs_fold<true>(device, g, k, full, depth, F, X, bitmap, V, Fn, sigma, S,
+                     cflags, count_degrees);
+  } else {
+    msbfs_fold<false>(device, g, k, full, depth, F, X, bitmap, V, Fn, sigma,
+                      S, cflags, count_degrees);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -561,11 +561,6 @@ int cmd_bc(const CliArgs& args, std::ostream& out, std::ostream& err) {
           "--batch with --devices needs --dist partition (replicated blocks "
           "already ride the single-device engine)");
     }
-    if (args.has("batch") && advance != bc::Advance::kPush) {
-      throw UsageError(
-          "--dist partition --batch is push-only (masks are exchanged, not "
-          "bitmaps)");
-    }
     if (want_trace) {
       throw UsageError("--trace is single-device only (drop --devices)");
     }

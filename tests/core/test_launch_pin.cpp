@@ -243,6 +243,8 @@ std::vector<PinCase> pin_cases() {
                    batched(Advance::kPull, true)});
   cases.push_back({"partition_k3_batched_k8",
                    partitioned(Advance::kPush, 8)});
+  cases.push_back({"partition_k3_batched_k8_auto",
+                   partitioned(Advance::kAuto, 8)});
   cases.push_back({"batched_k3_moments_dup", batched_moments(3)});
   cases.push_back({"partition_k3_batched_k3_dup",
                    partitioned(Advance::kPush, 3, std::nullopt, kDupBatch)});

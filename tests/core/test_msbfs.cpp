@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/turbobc.hpp"
 #include "core/turbobc_batched.hpp"
 #include "dist/dist_turbobc.hpp"
@@ -80,7 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(qa::kGeneratorFamilies),
     [](const auto& info) { return std::string(qa::to_string(info.param)); });
 
-TEST(MsBfsDist, PartitionedMaskExchangeMatchesSingleDevice) {
+/// The partitioned lane-frontier sweep under `adv` against the single-device
+/// batched engine (push), 24 sources in blocks of 8 over four devices.
+void expect_partitioned_matches_single_device(Advance adv) {
   for (const qa::Family family :
        {qa::Family::kKronecker, qa::Family::kLocalDigraph, qa::Family::kGrid}) {
     qa::FuzzCase c;
@@ -97,27 +98,27 @@ TEST(MsBfsDist, PartitionedMaskExchangeMatchesSingleDevice) {
     sim::Topology topo(sim::TopologyProps::quad_titan_xp());
     dist::DistTurboBC engine(topo, el,
                              {.strategy = dist::Strategy::kPartition,
+                              .advance = adv,
                               .batch_size = 8});
     const auto got = engine.run_sources(sources);
     EXPECT_EQ(got.strategy_used, dist::Strategy::kPartition);
     EXPECT_GT(got.comm_bytes, 0u);
     expect_bits_equal(got.bc, want.bc,
                       std::string("dist family ") +
-                          std::string(qa::to_string(family)));
+                          std::string(qa::to_string(family)) + " advance " +
+                          std::string(to_string(adv)));
   }
 }
 
-TEST(MsBfsDist, RejectsNonPushAdvance) {
-  qa::FuzzCase c;
-  c.family = qa::Family::kGrid;
-  c.seed = 3;
-  const auto el = qa::build_graph(c);
-  sim::Topology topo(sim::TopologyProps::quad_titan_xp());
-  EXPECT_THROW(dist::DistTurboBC(topo, el,
-                                 {.strategy = dist::Strategy::kPartition,
-                                  .advance = Advance::kPull,
-                                  .batch_size = 8}),
-               InvalidArgument);
+TEST(MsBfsDist, PartitionedMaskExchangeMatchesSingleDevice) {
+  expect_partitioned_matches_single_device(Advance::kPush);
+}
+
+// Pull and auto build each device's any-lane bitmap from its exchanged mask
+// copy; the folds skip only exact zeros, so the bits stay push's.
+TEST(MsBfsDist, PullAndAutoMatchSingleDevice) {
+  expect_partitioned_matches_single_device(Advance::kPull);
+  expect_partitioned_matches_single_device(Advance::kAuto);
 }
 
 }  // namespace

@@ -151,13 +151,8 @@ KernelRun run_family(sim::Device& dev, const G& g, std::size_t n) {
     sg.copy_from_host(sig);
     S.device_fill(0);
     cflags.device_fill(0);
-    if (pull) {
-      spmm_forward_msbfs_pull_sccsc(dev, g, static_cast<int>(kLanes), full, 3,
-                                    Fd, mbm, Vd, Fn, sg, S, cflags, true);
-    } else {
-      spmm_forward_msbfs_sccsc(dev, g, static_cast<int>(kLanes), full, 3, Fd,
-                               sg, Vd, Fn, sg, S, cflags, true);
-    }
+    spmm_forward_msbfs(dev, g, static_cast<int>(kLanes), full, 3, Fd, sg,
+                       pull ? &mbm : nullptr, Vd, Fn, sg, S, cflags, true);
     note();
     run.outputs.push_back(bits(Vd.host()));
     run.outputs.push_back(bits(Fn.host()));
