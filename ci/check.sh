@@ -356,8 +356,12 @@ serve_smoke() {
 # fold byte for byte (both engines print the same "top" ranking and Brandes
 # verification line), the batched JSON must be pool-width invariant, and the
 # partitioned mask exchange must hold the same contract across 4 modeled
-# devices. The Release stage additionally runs bench_msbfs, whose speedup /
-# bit-identity / footprint gates are enforced by its exit code.
+# devices, under push and under --advance auto (whose pulled levels probe an
+# any-lane bitmap built from each device's exchanged mask copy; its BC lines
+# must also match the scalar scCSC run). --batch with --devices but without
+# --dist partition stays a usage error. The Release stage additionally runs
+# bench_msbfs, whose speedup / bit-identity / footprint gates are enforced
+# by its exit code.
 msbfs_smoke() {
   local name="$1" dir="$2"
   echo "=== [$name] msbfs-smoke ==="
@@ -380,10 +384,17 @@ msbfs_smoke() {
   "$cli" bc "$g" --exact --batch 8 --devices 4 --dist partition --verify \
     --json --threads 8 > "$dir/msbfs_smoke_dist_t8.json"
   cmp "$dir/msbfs_smoke_dist_t1.json" "$dir/msbfs_smoke_dist_t8.json"
-  if "$cli" bc "$g" --exact --batch 8 --devices 4 > /dev/null 2>&1; then
-    echo "msbfs-smoke: --batch without --dist partition should have failed" \
-      >&2; exit 1
-  fi
+  for t in 1 8; do
+    "$cli" bc "$g" --exact --batch 8 --devices 4 --dist partition \
+      --advance auto --verify --json --threads "$t" \
+      > "$dir/msbfs_smoke_dist_auto_t$t.json"
+  done
+  cmp "$dir/msbfs_smoke_dist_auto_t1.json" "$dir/msbfs_smoke_dist_auto_t8.json"
+  grep -E '"top"|"verify_max_rel_err"' "$dir/msbfs_smoke_dist_auto_t1.json" \
+    > "$dir/msbfs_smoke_dist_auto_bc.json"
+  cmp "$dir/msbfs_smoke_scalar_bc.json" "$dir/msbfs_smoke_dist_auto_bc.json"
+  expect_usage "msbfs-smoke: --batch without --dist partition" \
+    "$cli" bc "$g" --exact --batch 8 --devices 4
   if [ "$name" = "release" ]; then
     echo "=== [$name] bench-msbfs ==="
     cmake --build "$dir" -j "$(nproc)" --target bench_msbfs

@@ -101,6 +101,56 @@ struct Checker {
     }
   }
 
+  /// Bitwise comparison; records the first differing vertex under
+  /// `invariant`.
+  void compare_bits(const std::string& invariant, const std::string& what,
+                    const std::vector<bc_t>& got,
+                    const std::vector<bc_t>& want) {
+    if (got.size() != want.size()) {
+      fail(invariant, what + ": size " + std::to_string(got.size()) +
+                          " vs " + std::to_string(want.size()));
+      return;
+    }
+    for (std::size_t v = 0; v < got.size(); ++v) {
+      if (got[v] != want[v]) {
+        std::ostringstream os;
+        os << what << ": bc[" << v << "] = " << got[v] << " vs " << want[v];
+        fail(invariant, os.str());
+        return;
+      }
+    }
+  }
+
+  /// The MS-BFS lanes — up to 16 sources spread over [0, n): enough to
+  /// exercise a partial final mask word while a fuzz case stays cheap; <= 64
+  /// keeps the per-source engine's fold in singleton blocks, the scope of
+  /// the bit-identity contract — and their per-source scCSC BC (the layout
+  /// the lane kernels hard-code), the bitwise reference of msbfs_agreement
+  /// and of dist_bc_agreement's lane cell. Built once per case.
+  struct LaneReference {
+    std::vector<vidx_t> sources;
+    std::vector<bc_t> bc;
+  };
+  std::optional<LaneReference> lane_ref;
+
+  const LaneReference& lane_reference() {
+    if (!lane_ref) {
+      const vidx_t n = canon.num_vertices();
+      const auto want = static_cast<vidx_t>(std::min<std::int64_t>(16, n));
+      LaneReference r;
+      for (vidx_t i = 0; i < want; ++i) {
+        r.sources.push_back(static_cast<vidx_t>(
+            static_cast<std::uint64_t>(i) * n / want));
+      }
+      sim::Device dev;
+      dev.set_keep_launch_records(false);
+      bc::TurboBC algo(dev, graph, {.variant = bc::Variant::kScCsc});
+      r.bc = algo.run_sources(r.sources).bc;
+      lane_ref = std::move(r);
+    }
+    return *lane_ref;
+  }
+
   /// Deterministic spread of up to max_sources sources over [0, n).
   std::vector<vidx_t> pick_sources() const {
     const vidx_t n = canon.num_vertices();
@@ -582,23 +632,11 @@ struct Checker {
       const dist::DistResult r = engine.run_single_source(source);
       const std::string name = dist::to_string(strategy);
 
-      if (r.bc.size() != ref.bc.size()) {
-        std::ostringstream os;
-        os << name << ": bc size " << r.bc.size() << " vs single-device "
-           << ref.bc.size();
-        fail("dist_bc_agreement", os.str());
-      } else {
-        for (std::size_t v = 0; v < ref.bc.size(); ++v) {
-          if (r.bc[v] != ref.bc[v]) {
-            std::ostringstream os;
-            os << name << ": bc[" << v << "] = " << r.bc[v]
-               << " != single-device " << ref.bc[v] << " (source " << source
-               << ", " << opt.dist_devices << " devices)";
-            fail("dist_bc_agreement", os.str());
-            break;
-          }
-        }
-      }
+      compare_bits("dist_bc_agreement",
+                   name + " vs single-device (source " +
+                       std::to_string(source) + ", " +
+                       std::to_string(opt.dist_devices) + " devices)",
+                   r.bc, ref.bc);
 
       // Interconnect ledger: logical payloads conserve across the node, and
       // the topology total equals the per-device fold.
@@ -635,6 +673,29 @@ struct Checker {
           }
         }
       }
+    }
+  }
+
+  /// dist_bc_agreement's lane cell: the partitioned MS-BFS block (batch
+  /// min(8, n) over the msbfs_agreement lanes) under push and under auto,
+  /// bitwise against the lanes' per-source scCSC reference.
+  void check_dist_lanes() {
+    const vidx_t n = canon.num_vertices();
+    const LaneReference& ref = lane_reference();
+    for (const bc::Advance adv : {bc::Advance::kPush, bc::Advance::kAuto}) {
+      sim::TopologyProps props;
+      props.num_devices = opt.dist_devices;
+      sim::Topology topo(props);
+      dist::DistOptions o;
+      o.strategy = dist::Strategy::kPartition;
+      o.advance = adv;
+      o.batch_size = std::min<vidx_t>(8, n);
+      dist::DistTurboBC engine(topo, canon, o);
+      compare_bits("dist_bc_agreement",
+                   std::string("partition batched-") +
+                       std::string(bc::to_string(adv)) + " vs per-source (" +
+                       std::to_string(ref.sources.size()) + " sources)",
+                   engine.run_sources(ref.sources).bc, ref.bc);
     }
   }
 
@@ -767,28 +828,8 @@ struct Checker {
   void check_msbfs() {
     const vidx_t n = canon.num_vertices();
     const eidx_t m = canon.num_arcs();
-    // Up to 16 sources spread over [0, n): enough lanes to exercise a
-    // partial final mask word while a fuzz case stays cheap (the reference
-    // runs one full per-source BC per lane); <= 64 keeps the per-source
-    // engine's fold in singleton blocks — the scope of the bit-identity
-    // contract.
-    const auto want = static_cast<vidx_t>(std::min<std::int64_t>(16, n));
-    std::vector<vidx_t> sources;
-    for (vidx_t i = 0; i < want; ++i) {
-      sources.push_back(static_cast<vidx_t>(
-          static_cast<std::uint64_t>(i) * n / want));
-    }
+    const auto& [sources, ref_bc] = lane_reference();
     const auto k = static_cast<vidx_t>(sources.size());
-
-    // Per-source reference: the scalar engine on the same sources and the
-    // same layout the batched engine hard-codes (CSC, scalar kernels).
-    bc::BcResult ref;
-    {
-      sim::Device dev;
-      dev.set_keep_launch_records(false);
-      bc::TurboBC algo(dev, graph, {.variant = bc::Variant::kScCsc});
-      ref = algo.run_sources(sources);
-    }
 
     const auto run_batched = [&](bc::Advance adv, unsigned width) {
       PoolWidthGuard guard;
@@ -805,27 +846,9 @@ struct Checker {
       return std::make_pair(std::move(r), words);
     };
 
-    const auto compare_bits = [&](const std::string& what,
-                                  const std::vector<bc_t>& a,
-                                  const std::vector<bc_t>& b) {
-      if (a.size() != b.size()) {
-        fail("msbfs_agreement", what + ": size " + std::to_string(a.size()) +
-                                    " vs " + std::to_string(b.size()));
-        return;
-      }
-      for (std::size_t v = 0; v < a.size(); ++v) {
-        if (a[v] != b[v]) {
-          std::ostringstream os;
-          os << what << ": bc[" << v << "] = " << a[v] << " vs " << b[v]
-             << " (" << k << " sources)";
-          fail("msbfs_agreement", os.str());
-          return;
-        }
-      }
-    };
-
     const auto [push, push_words] = run_batched(bc::Advance::kPush, 1);
-    compare_bits("batched-push vs per-source", push.bc, ref.bc);
+    compare_bits("msbfs_agreement", "batched-push vs per-source", push.bc,
+                 ref_bc);
     // The mask kernels issue word ops on every traversed edge; a zero total
     // on a non-trivial graph means the accounting got disconnected.
     if (m > 0 && push_words == 0) {
@@ -848,7 +871,8 @@ struct Checker {
     for (const bc::Advance adv : {bc::Advance::kPull, bc::Advance::kAuto}) {
       const auto [r, words] = run_batched(adv, 1);
       (void)words;
-      compare_bits(std::string("batched-") + std::string(bc::to_string(adv)) +
+      compare_bits("msbfs_agreement",
+                   std::string("batched-") + std::string(bc::to_string(adv)) +
                        " vs batched-push",
                    r.bc, push.bc);
     }
@@ -1393,6 +1417,7 @@ struct Checker {
     }
     if (opt.check_dist && canon.num_vertices() > 0) {
       check_dist();
+      if (canon.num_vertices() <= opt.msbfs_max_vertices) check_dist_lanes();
     }
     if (opt.check_dobfs && canon.num_vertices() > 0) {
       check_dobfs();
@@ -1443,7 +1468,7 @@ OracleReport check_graph(const EdgeList& graph, const OracleOptions& options) {
   report.vertices = canon.num_vertices();
   report.arcs = canon.num_arcs();
 
-  Checker checker{graph, canon, options, report};
+  Checker checker{graph, canon, options, report, {}};
   try {
     checker.run();
   } catch (const std::exception& e) {

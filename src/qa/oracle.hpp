@@ -35,7 +35,10 @@
 //                         modeled numbers) bit-identical across pool widths
 //   dist_bc_agreement     replicated and partitioned multi-GPU BC
 //                         bit-identical to the single-device engine (same
-//                         pinned variant)
+//                         pinned variant); below msbfs_max_vertices also
+//                         the partitioned MS-BFS block (batch min(8, n),
+//                         push and auto) bit-identical to the per-source
+//                         scCSC engine over the msbfs_agreement lanes
 //   dist_inventory        each partitioned shard's simulated peak matches
 //                         the analytic "7 n_local + m_local + n exchange"
 //                         inventory (src/dist/partition.hpp)
